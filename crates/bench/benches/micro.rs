@@ -1,15 +1,21 @@
 //! Criterion micro-benchmarks for the core primitives every learner relies
-//! on: θ-subsumption (coverage testing), IND-aware bottom-clause
+//! on: θ-subsumption (coverage testing, and its per-node cost on a search
+//! that exhausts the default budget), IND-aware bottom-clause
 //! construction, natural joins (composition), lgg (Golem's operator), and
 //! the `castor-engine` coverage path (compiled plans + memoized cache)
 //! against the uncached, per-call-planned baseline.
 
 use castor_bench::coverage_candidate_sequence;
-use castor_core::{BottomClausePlan, CastorConfig};
+use castor_core::{
+    castor_bottom_clause, castor_ground_bottom_clause, BottomClausePlan, CastorConfig,
+};
 use castor_datasets::uwcse::{generate, UwCseConfig};
 use castor_engine::{Engine, EngineConfig, Prior};
 use castor_learners::bottom_clause::{ground_bottom_clause, BottomClauseConfig};
-use castor_logic::{covers_example, lgg_clauses, subsumes, Clause};
+use castor_logic::{
+    covers_example, lgg_clauses, subsumes, subsumes_budgeted_with, subsumes_with_eval_budget,
+    Clause, EvalBudget, DEFAULT_EVAL_NODE_BUDGET,
+};
 use castor_relational::{natural_join, Tuple};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -27,6 +33,50 @@ fn bench_subsumption(c: &mut Criterion) {
     let candidate = variant.ground_truth.clone().unwrap().clauses[0].clone();
     c.bench_function("theta_subsumption_ground_bottom_clause", |b| {
         b.iter(|| black_box(subsumes(black_box(&candidate), black_box(&ground))))
+    });
+}
+
+/// The per-node cost of the θ-subsumption search on its worst case: the
+/// variablized bottom clause of one UW-CSE example against the ground
+/// bottom clause of another, chosen so the search spends the whole default
+/// 30k-node coverage budget and gives up. Bottom clauses against ground
+/// bottom clauses are what Castor's first coverage tests of each round run,
+/// and such exhausted tests dominate its coverage time.
+fn bench_subsumption_exhausted(c: &mut Criterion) {
+    let family = family();
+    let variant = family.variant("Original").unwrap();
+    let plan = BottomClausePlan::compile(variant.db.schema(), false);
+    let mut config = CastorConfig::uwcse();
+    config.params.constant_positions = variant.constant_positions.clone();
+    let examples: Vec<&Tuple> = variant
+        .task
+        .positive
+        .iter()
+        .chain(&variant.task.negative)
+        .take(24)
+        .collect();
+    let bottom = |e: &Tuple| castor_bottom_clause(&variant.db, &plan, "advisedBy", e, &config);
+    let ground =
+        |e: &Tuple| castor_ground_bottom_clause(&variant.db, &plan, "advisedBy", e, &config);
+    let runs_dry = |candidate: &Clause, ground: &Clause| {
+        subsumes_budgeted_with(candidate, ground, DEFAULT_EVAL_NODE_BUDGET).exhausted
+    };
+    let (candidate, ground) = examples
+        .iter()
+        .flat_map(|&e| examples.iter().map(move |&f| (e, f)))
+        .filter(|(e, f)| e != f)
+        .map(|(e, f)| (bottom(e), ground(f)))
+        .find(|(candidate, ground)| runs_dry(candidate, ground))
+        .expect("some UW-CSE bottom clause exhausts the default budget");
+    c.bench_function("theta_subsumption_exhausted_30k_budget", |b| {
+        b.iter(|| {
+            let mut budget = EvalBudget::new(DEFAULT_EVAL_NODE_BUDGET);
+            black_box(subsumes_with_eval_budget(
+                black_box(&candidate),
+                black_box(&ground),
+                &mut budget,
+            ))
+        })
     });
 }
 
@@ -313,6 +363,7 @@ fn bench_engine_cross_schema_reuse(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_subsumption,
+    bench_subsumption_exhausted,
     bench_bottom_clause,
     bench_natural_join,
     bench_lgg,

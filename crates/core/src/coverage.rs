@@ -9,6 +9,12 @@
 //!
 //! * materializes the ground bottom clause of every example once (the
 //!   "stored procedure" call per example in the paper's implementation);
+//! * decides each (clause, example) pair with
+//!   [`castor_logic::subsumes_with_eval_budget`], which interns the ground
+//!   bottom clause's terms to integer ids, maps the clause's variables to
+//!   slots and searches over one binding array with an undo trail — a
+//!   search node costs a few integer compares, so the tests that spend
+//!   their whole node budget (most of the coverage time) stay cheap;
 //! * runs pending tests on the persistent [`WorkerPool`] with work-stealing
 //!   over examples (Figure 2's ablation) — no per-call thread spawning, and
 //!   the pool can be shared with the database-evaluation [`castor_engine::Engine`]

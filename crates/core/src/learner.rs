@@ -9,7 +9,7 @@ use crate::plan::BottomClausePlan;
 use crate::reduction::negative_reduce;
 use castor_engine::{Engine, EngineReport, LearnProgress, Prior};
 use castor_learners::LearningTask;
-use castor_logic::{is_safe, minimize_clause, Clause, Definition};
+use castor_logic::{is_safe, minimize_clause_counted, Clause, Definition, Minimized};
 use castor_relational::{DatabaseInstance, InclusionDependency, Schema, Tuple};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -32,6 +32,37 @@ pub struct LearnOutcome {
     pub engine: EngineReport,
     /// Average fraction of bottom-clause literals removed by minimization.
     pub minimization_reduction: f64,
+    /// Minimization's subsumption tests, over every bottom clause and every
+    /// final clause the run minimized (one test per body literal tried).
+    pub minimization_tests: usize,
+    /// Of those, tests that ran out of the subsumption node budget. Each one
+    /// kept its literal as "not redundant" without deciding it, so a high
+    /// share here means `minimization_reduction` understates what exact
+    /// minimization would remove.
+    pub minimization_exhausted: usize,
+}
+
+/// Minimization statistics accumulated over one run.
+#[derive(Debug, Default)]
+struct MinimizeTally {
+    /// Fraction of literals removed from each bottom clause.
+    reductions: Vec<f64>,
+    tests: usize,
+    exhausted: usize,
+}
+
+impl MinimizeTally {
+    /// Minimizes `clause`, counting its tests and exhaustions.
+    fn minimize(&mut self, clause: &Clause) -> Clause {
+        let Minimized {
+            clause,
+            tests,
+            exhausted,
+        } = minimize_clause_counted(clause);
+        self.tests += tests;
+        self.exhausted += exhausted;
+        clause
+    }
 }
 
 /// The Castor learner.
@@ -114,7 +145,7 @@ impl Castor {
 
         let mut definition = Definition::empty(task.target.clone());
         let mut uncovered: Vec<Tuple> = task.positive.clone();
-        let mut reduction_samples: Vec<f64> = Vec::new();
+        let mut minimization = MinimizeTally::default();
 
         while !uncovered.is_empty() {
             let Some(clause) = self.learn_clause(
@@ -125,7 +156,7 @@ impl Castor {
                 &task.target,
                 &uncovered,
                 &task.negative,
-                &mut reduction_samples,
+                &mut minimization,
             ) else {
                 break;
             };
@@ -159,11 +190,13 @@ impl Castor {
             engine: engine
                 .report()
                 .combined(&eval_engine.report().delta_since(&eval_baseline)),
-            minimization_reduction: if reduction_samples.is_empty() {
+            minimization_reduction: if minimization.reductions.is_empty() {
                 0.0
             } else {
-                reduction_samples.iter().sum::<f64>() / reduction_samples.len() as f64
+                minimization.reductions.iter().sum::<f64>() / minimization.reductions.len() as f64
             },
+            minimization_tests: minimization.tests,
+            minimization_exhausted: minimization.exhausted,
         }
     }
 
@@ -180,16 +213,18 @@ impl Castor {
         target: &str,
         uncovered: &[Tuple],
         negative: &[Tuple],
-        reduction_samples: &mut Vec<f64>,
+        minimization: &mut MinimizeTally,
     ) -> Option<Clause> {
         let params = &self.config.params;
         let seed = uncovered.first()?;
         let mut bottom = castor_bottom_clause(db, plan, target, seed, &self.config);
         if self.config.minimize_clauses {
             let before = bottom.body_len();
-            bottom = minimize_clause(&bottom);
+            bottom = minimization.minimize(&bottom);
             if before > 0 {
-                reduction_samples.push((before - bottom.body_len()) as f64 / before as f64);
+                minimization
+                    .reductions
+                    .push((before - bottom.body_len()) as f64 / before as f64);
             }
         }
         if bottom.body.is_empty() {
@@ -271,7 +306,7 @@ impl Castor {
         // Negative reduction of the best candidate, then minimization.
         let reduced = negative_reduce(&best.0, engine, negative, plan, self.config.safe_clauses);
         let final_clause = if self.config.minimize_clauses {
-            minimize_clause(&reduced)
+            minimization.minimize(&reduced)
         } else {
             reduced
         };

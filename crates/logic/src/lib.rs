@@ -41,7 +41,7 @@ pub use evaluation::{
     EvalBudget, DEFAULT_EVAL_NODE_BUDGET,
 };
 pub use lgg::{lgg_atoms, lgg_clauses};
-pub use minimize::minimize_clause;
+pub use minimize::{minimize_clause, minimize_clause_counted, Minimized};
 pub use safety::is_safe;
 pub use substitution::Substitution;
 pub use subsumption::{

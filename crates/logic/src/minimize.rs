@@ -8,9 +8,26 @@
 //! bottom-clause and every learned clause this way (Section 7.5.5); the
 //! paper uses a polynomial-time approximation of the subsumption test, which
 //! we mirror by capping the search through the generic subsumption engine.
+//! A capped test that runs out of nodes keeps its literal, so minimization
+//! can leave redundant literals behind; [`minimize_clause_counted`] reports
+//! how many tests ran out. On UW-CSE bottom clauses most of them do.
 
 use crate::clause::Clause;
-use crate::subsumption::subsumes;
+use crate::subsumption::subsumes_budgeted;
+
+/// A minimized clause with the tally of the subsumption tests that
+/// produced it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Minimized {
+    /// The minimized clause.
+    pub clause: Clause,
+    /// Subsumption tests run: one per body literal tried.
+    pub tests: usize,
+    /// Tests that ran out of the node budget. Each kept its literal as
+    /// "not redundant" without deciding it, so the clause may still hold
+    /// redundant literals.
+    pub exhausted: usize,
+}
 
 /// Removes syntactically redundant body literals.
 ///
@@ -18,7 +35,15 @@ use crate::subsumption::subsumes;
 /// without it still θ-subsumes the original clause. The result is equivalent
 /// to the input (it subsumes and is subsumed by it).
 pub fn minimize_clause(clause: &Clause) -> Clause {
+    minimize_clause_counted(clause).clause
+}
+
+/// [`minimize_clause`], also counting its subsumption tests and how many of
+/// them ran out of the node budget.
+pub fn minimize_clause_counted(clause: &Clause) -> Minimized {
     let mut current = clause.clone();
+    let mut tests = 0;
+    let mut exhausted = 0;
     let mut i = 0;
     while i < current.body.len() {
         let mut candidate = current.clone();
@@ -27,14 +52,21 @@ pub fn minimize_clause(clause: &Clause) -> Clause {
         // `current` trivially. The literal is redundant only if the full
         // clause still maps *into* the reduced one, i.e. `current` θ-subsumes
         // `candidate`; then the two are θ-equivalent.
-        if subsumes(&current, &candidate) {
+        let outcome = subsumes_budgeted(&current, &candidate);
+        tests += 1;
+        exhausted += usize::from(outcome.exhausted);
+        if outcome.subsumes() {
             current = candidate;
             // do not advance: the literal at position i is now a new one
         } else {
             i += 1;
         }
     }
-    current
+    Minimized {
+        clause: current,
+        tests,
+        exhausted,
+    }
 }
 
 /// Number of literals removed when minimizing `clause`, as a fraction of the
@@ -54,6 +86,7 @@ mod tests {
     use super::*;
     use crate::atom::Atom;
     use crate::subsumption::theta_equivalent;
+    use crate::term::Term;
 
     #[test]
     fn removes_duplicate_literals() {
@@ -97,6 +130,36 @@ mod tests {
         );
         let m = minimize_clause(&c);
         assert_eq!(m.body.len(), 2);
+    }
+
+    #[test]
+    fn counts_tests_and_budget_exhaustions() {
+        // A directed chain t(x) <- q(x,v1), q(v1,v2), ... has no redundant
+        // literal, but refuting a removal late in a long chain walks every
+        // literal's candidates and runs past the node budget.
+        let chain = |len: usize| {
+            let var = |i: usize| {
+                if i == 0 {
+                    "x".to_string()
+                } else {
+                    format!("v{i}")
+                }
+            };
+            Clause::new(
+                Atom::vars("t", &["x"]),
+                (0..len)
+                    .map(|i| Atom::new("q", vec![Term::var(var(i)), Term::var(var(i + 1))]))
+                    .collect(),
+            )
+        };
+        let short = minimize_clause_counted(&chain(5));
+        assert_eq!((short.tests, short.exhausted), (5, 0));
+        assert_eq!(short.clause, chain(5));
+
+        let long = minimize_clause_counted(&chain(70));
+        assert_eq!(long.tests, 70);
+        assert!(long.exhausted > 0 && long.exhausted < long.tests);
+        assert_eq!(long.clause, minimize_clause(&chain(70)));
     }
 
     #[test]

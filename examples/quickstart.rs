@@ -48,8 +48,10 @@ fn main() {
 
     println!("Learned definition for advisedBy:\n{}", outcome.definition);
     println!(
-        "\n({} coverage tests, {:.1} ms)",
+        "\n({} coverage tests, {:.1} ms; minimization: {} tests, {} out of budget)",
         outcome.coverage_tests,
-        outcome.elapsed.as_secs_f64() * 1000.0
+        outcome.elapsed.as_secs_f64() * 1000.0,
+        outcome.minimization_tests,
+        outcome.minimization_exhausted
     );
 }
