@@ -3,9 +3,10 @@
 //! that exhausts the default budget), IND-aware bottom-clause
 //! construction, natural joins (composition), lgg (Golem's operator), and
 //! the `castor-engine` coverage path (compiled plans + memoized cache)
-//! against the uncached, per-call-planned baseline.
+//! against the uncached, per-call-planned baseline, and the compiled-plan
+//! executor's per-node cost on a test that exhausts the default budget.
 
-use castor_bench::coverage_candidate_sequence;
+use castor_bench::{coverage_candidate_sequence, replay_armg};
 use castor_core::{
     castor_bottom_clause, castor_ground_bottom_clause, BottomClausePlan, CastorConfig,
 };
@@ -76,6 +77,37 @@ fn bench_subsumption_exhausted(c: &mut Criterion) {
                 black_box(&ground),
                 &mut budget,
             ))
+        })
+    });
+}
+
+/// The per-node cost of the compiled-plan executor on its worst case: a
+/// prefix of one UW-CSE example's bottom clause, as Castor's ARMG tests it
+/// while generalizing towards another positive example, on which the
+/// engine (coverage caches off) spends the whole default 30k-node budget
+/// and gives up. Such exhausted tests are few in a learning run but take a
+/// large share of ARMG's time.
+fn bench_engine_covers_exhausted(c: &mut Criterion) {
+    let family = family();
+    let variant = family.variant("Original").unwrap();
+    let engine = Engine::from_arc(
+        std::sync::Arc::clone(&variant.db),
+        EngineConfig::default().without_cache(),
+    );
+    let mut dry = None;
+    replay_armg(variant, 8, |clause, example| {
+        let outcome = engine.try_covers(clause, example);
+        if outcome.is_exhausted() && dry.is_none() {
+            dry = Some((clause.clone(), example.clone()));
+        }
+        outcome.is_covered()
+    });
+    let (clause, example) = dry.expect("some UW-CSE ARMG test exhausts the default budget");
+    c.bench_function("engine_covers_exhausted_30k_budget", |b| {
+        b.iter(|| {
+            let outcome = engine.try_covers(black_box(&clause), black_box(&example));
+            assert!(outcome.is_exhausted(), "the test must stay dry");
+            outcome
         })
     });
 }
@@ -364,6 +396,7 @@ criterion_group!(
     benches,
     bench_subsumption,
     bench_subsumption_exhausted,
+    bench_engine_covers_exhausted,
     bench_bottom_clause,
     bench_natural_join,
     bench_lgg,

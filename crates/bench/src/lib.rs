@@ -53,6 +53,52 @@ pub fn coverage_candidate_sequence(variant: &castor_datasets::DatasetVariant) ->
     out
 }
 
+/// Replays Castor's IND-aware ARMG (Section 7.2.1,
+/// `castor_core::castor_armg`) on `variant`, generalizing the bottom clause
+/// of each of the first `positives` positive examples towards each other
+/// one: test the clause, then each body prefix from the empty one up to the
+/// blocking atom; drop that atom, restore IND consistency and connectivity,
+/// and repeat until the clause covers the example or the head alone does
+/// not. `covers` decides every coverage test, so the caller sees exactly
+/// the tests ARMG runs.
+pub fn replay_armg(
+    variant: &castor_datasets::DatasetVariant,
+    positives: usize,
+    mut covers: impl FnMut(&Clause, &castor_relational::Tuple) -> bool,
+) {
+    use castor_core::armg::enforce_ind_consistency;
+    let plan = castor_core::BottomClausePlan::compile(variant.db.schema(), false);
+    let mut config = CastorConfig::uwcse();
+    config.params.constant_positions = variant.constant_positions.clone();
+    let seeds = &variant.task.positive[..positives.min(variant.task.positive.len())];
+    for seed in seeds {
+        let bottom = castor_core::castor_bottom_clause(
+            &variant.db,
+            &plan,
+            &variant.task.target,
+            seed,
+            &config,
+        );
+        for example in seeds.iter().filter(|&e| e != seed) {
+            let mut current = bottom.clone();
+            while !covers(&current, example) {
+                let prefix = |len| Clause::new(current.head.clone(), current.body[..len].to_vec());
+                if !covers(&prefix(0), example) {
+                    break;
+                }
+                let Some(blocking) =
+                    (1..=current.body.len()).find(|&len| !covers(&prefix(len), example))
+                else {
+                    break;
+                };
+                current.body.remove(blocking - 1);
+                enforce_ind_consistency(&mut current, &plan);
+                current.remove_unconnected();
+            }
+        }
+    }
+}
+
 /// A beam of sibling candidate clauses shaped like one level of beam
 /// refinement: the variant's ground-truth body is the shared prefix, and
 /// each sibling appends one distinct trailing literal (every relation ×

@@ -15,7 +15,6 @@ use crate::plan::BottomClausePlan;
 use castor_engine::Engine;
 use castor_learners::progolem::blocking_atom_index;
 use castor_logic::{Atom, Clause, Term};
-use castor_relational::Schema;
 
 /// Castor's ARMG: generalizes `clause` to cover `example`, enforcing IND
 /// consistency after every blocking-atom removal. Returns `None` when the
@@ -34,7 +33,7 @@ pub fn castor_armg(
         }
         let blocking = blocking_atom_index(&current, engine, example)?;
         current.body.remove(blocking);
-        enforce_ind_consistency(&mut current, engine.snapshot().schema(), plan);
+        enforce_ind_consistency(&mut current, plan);
         current.remove_unconnected();
     }
 }
@@ -45,7 +44,7 @@ pub fn castor_armg(
 /// literal `R2(u2)` with `π_X(u1) = π_X(u2)`; otherwise it is dropped.
 /// Removal cascades until a fixpoint because dropping one literal can orphan
 /// another.
-pub fn enforce_ind_consistency(clause: &mut Clause, schema: &Schema, plan: &BottomClausePlan) {
+pub fn enforce_ind_consistency(clause: &mut Clause, plan: &BottomClausePlan) {
     loop {
         let mut to_remove: Option<usize> = None;
         'outer: for (i, literal) in clause.body.iter().enumerate() {
@@ -76,7 +75,6 @@ pub fn enforce_ind_consistency(clause: &mut Clause, schema: &Schema, plan: &Bott
             None => break,
         }
     }
-    let _ = schema;
 }
 
 fn project_terms<'a>(atom: &'a Atom, positions: &[usize]) -> Vec<&'a Term> {
@@ -183,7 +181,7 @@ mod tests {
                 Atom::vars("yearsInProgram", &["x", "y"]),
             ],
         );
-        enforce_ind_consistency(&mut clause, db.schema(), &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 3);
     }
 
@@ -201,7 +199,7 @@ mod tests {
                 Atom::vars("yearsInProgram", &["x", "y"]),
             ],
         );
-        enforce_ind_consistency(&mut clause, db.schema(), &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 0);
     }
 
@@ -226,7 +224,7 @@ mod tests {
             Atom::vars("t", &["x"]),
             vec![Atom::vars("publication", &["p", "x"])],
         );
-        enforce_ind_consistency(&mut clause, &schema, &plan);
+        enforce_ind_consistency(&mut clause, &plan);
         assert_eq!(clause.body_len(), 1);
     }
 }

@@ -117,24 +117,22 @@ impl BottomClausePlan {
         let Some(instance) = db.relation(&edge.to_relation) else {
             return Vec::new();
         };
-        let key: Vec<Value> = edge
+        let key: Vec<&Value> = edge
             .from_positions
             .iter()
-            .map(|&p| probe.value(p).clone())
+            .map(|&p| probe.value(p))
             .collect();
-        let mut out: Vec<&Tuple> = if self.use_indexes {
-            instance.select_on_positions(&edge.to_positions, &key)
+        let mut out: Vec<&Tuple> = Vec::new();
+        if self.use_indexes {
+            instance.select_on_positions(&edge.to_positions, &key, &mut out);
         } else {
-            instance
-                .iter()
-                .filter(|t| {
-                    edge.to_positions
-                        .iter()
-                        .zip(key.iter())
-                        .all(|(&p, v)| t.value(p) == v)
-                })
-                .collect()
-        };
+            out.extend(instance.iter().filter(|t| {
+                edge.to_positions
+                    .iter()
+                    .zip(&key)
+                    .all(|(&p, &v)| t.value(p) == v)
+            }));
+        }
         out.truncate(limit);
         out
     }

@@ -443,23 +443,20 @@ impl BatchSearch<'_> {
             // the slots resolve to NotCovered at item end.
             return;
         };
-        let candidates: Vec<&Tuple> = if node.bound_positions.is_empty() {
-            instance.iter().collect()
-        } else {
-            let key: Vec<Value> = node
-                .bound_positions
-                .iter()
-                .map(|&pos| match &node.atom.terms[pos] {
-                    Term::Const(v) => v.clone(),
-                    Term::Var(name) => match self.theta.get(name) {
-                        Some(Term::Const(v)) => v.clone(),
-                        // The trie guarantees ancestor literals bound it.
-                        _ => unreachable!("trie-bound variable {name} unbound at execution"),
-                    },
-                })
-                .collect();
-            instance.select_on_positions(&node.bound_positions, &key)
-        };
+        let key: Vec<&Value> = node
+            .bound_positions
+            .iter()
+            .map(|&pos| match &node.atom.terms[pos] {
+                Term::Const(v) => v,
+                Term::Var(name) => match self.theta.get(name) {
+                    Some(Term::Const(v)) => v,
+                    // The trie guarantees ancestor literals bound it.
+                    _ => unreachable!("trie-bound variable {name} unbound at execution"),
+                },
+            })
+            .collect();
+        let mut candidates: Vec<&Tuple> = Vec::new();
+        instance.select_on_positions(&node.bound_positions, &key, &mut candidates);
         if let Some(feedback) = self.feedback {
             feedback.record_step(node_idx, candidates.len());
         }

@@ -333,13 +333,10 @@ impl<'a> Search<'a> {
         };
 
         let bound = bound_positions(atom, theta);
-        let candidates: Vec<&Tuple> = if bound.is_empty() {
-            instance.iter().collect()
-        } else {
-            let positions: Vec<usize> = bound.iter().map(|(p, _)| *p).collect();
-            let key: Vec<Value> = bound.iter().map(|(_, v)| v.clone()).collect();
-            instance.select_on_positions(&positions, &key)
-        };
+        let positions: Vec<usize> = bound.iter().map(|(p, _)| *p).collect();
+        let key: Vec<&Value> = bound.iter().map(|(_, v)| v).collect();
+        let mut candidates: Vec<&Tuple> = Vec::new();
+        instance.select_on_positions(&positions, &key, &mut candidates);
 
         self.used[pos] = true;
         let mut stop = false;
@@ -384,7 +381,7 @@ fn bound_positions(atom: &Atom, theta: &Substitution) -> Vec<(usize, Value)> {
 
 /// Extends θ so that `atom` matches the ground `tuple`, recording every
 /// newly created binding on `trail` so the caller can undo it. Public so
-/// the compiled-plan executor in `castor-engine` shares the same
+/// the batched trie executor in `castor-engine` shares the same
 /// unification kernel.
 pub fn unify_with_tuple(
     atom: &Atom,

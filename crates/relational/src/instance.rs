@@ -426,38 +426,45 @@ impl RelationInstance {
 
     /// Tuples that agree with `key` on the attribute positions `positions`
     /// (a multi-column index lookup implemented by probing the most
-    /// selective single-column index and post-filtering).
-    pub fn select_on_positions(&self, positions: &[usize], key: &[Value]) -> Vec<&Tuple> {
+    /// selective single-column index and post-filtering), written into
+    /// `out` in posting-list order after clearing it. With no positions
+    /// every tuple matches. The key is borrowed and the buffer is the
+    /// caller's, so a join that probes once per search node can reuse both.
+    pub fn select_on_positions<'a>(
+        &'a self,
+        positions: &[usize],
+        key: &[&Value],
+        out: &mut Vec<&'a Tuple>,
+    ) {
         assert_eq!(
             positions.len(),
             key.len(),
             "key length must match positions"
         );
+        out.clear();
         if positions.is_empty() {
-            return self.tuples.iter().collect();
+            out.extend(self.tuples.iter());
+            return;
         }
         // Probe the column whose posting list is shortest.
-        let mut best: Option<(usize, &Vec<usize>)> = None;
-        for (i, (&pos, value)) in positions.iter().zip(key.iter()).enumerate() {
+        let mut best: Option<&Vec<usize>> = None;
+        for (&pos, &value) in positions.iter().zip(key) {
             match self.indexes.get(pos).and_then(|idx| idx.get(value)) {
                 Some(rows) => {
-                    if best.is_none_or(|(_, b)| rows.len() < b.len()) {
-                        best = Some((i, rows));
+                    if best.is_none_or(|b| rows.len() < b.len()) {
+                        best = Some(rows);
                     }
                 }
-                None => return Vec::new(),
+                None => return,
             }
         }
-        let (_, rows) = best.expect("non-empty positions");
-        rows.iter()
-            .map(|&r| &self.tuples[r])
-            .filter(|t| {
-                positions
-                    .iter()
-                    .zip(key.iter())
-                    .all(|(&pos, v)| t.value(pos) == v)
-            })
-            .collect()
+        let rows = best.expect("non-empty positions");
+        out.extend(rows.iter().map(|&r| &self.tuples[r]).filter(|t| {
+            positions
+                .iter()
+                .zip(key)
+                .all(|(&pos, &v)| t.value(pos) == v)
+        }));
     }
 
     /// Tuples containing `value` at *any* position. Used by bottom-clause
@@ -580,11 +587,17 @@ mod tests {
     #[test]
     fn select_on_positions_multi_column() {
         let inst = ta_instance();
-        let hits = inst.select_on_positions(&[0, 1], &[Value::str("c1"), Value::str("alice")]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0], &Tuple::from_strs(&["c1", "alice", "t1"]));
-        let empty = inst.select_on_positions(&[0, 1], &[Value::str("c2"), Value::str("bob")]);
-        assert!(empty.is_empty());
+        let (c1, c2) = (Value::str("c1"), Value::str("c2"));
+        let (alice, bob) = (Value::str("alice"), Value::str("bob"));
+        let mut hits = Vec::new();
+        inst.select_on_positions(&[0, 1], &[&c1, &alice], &mut hits);
+        assert_eq!(hits, vec![&Tuple::from_strs(&["c1", "alice", "t1"])]);
+        // The buffer is cleared before each probe.
+        inst.select_on_positions(&[0, 1], &[&c2, &bob], &mut hits);
+        assert!(hits.is_empty());
+        // No positions: a full scan in insertion order.
+        inst.select_on_positions(&[], &[], &mut hits);
+        assert_eq!(hits.len(), inst.len());
     }
 
     #[test]
@@ -635,7 +648,12 @@ mod tests {
         // Index lookups survive the swap-remove row compaction.
         assert_eq!(inst.select_eq(1, &Value::str("alice")).len(), 1);
         assert_eq!(inst.select_eq(1, &Value::str("bob")).len(), 1);
-        let hits = inst.select_on_positions(&[0, 1], &[Value::str("c2"), Value::str("alice")]);
+        let mut hits = Vec::new();
+        inst.select_on_positions(
+            &[0, 1],
+            &[&Value::str("c2"), &Value::str("alice")],
+            &mut hits,
+        );
         assert_eq!(hits, vec![&Tuple::from_strs(&["c2", "alice", "t2"])]);
         // Statistics (read off the indexes) reflect the removal.
         let stats = inst.statistics();

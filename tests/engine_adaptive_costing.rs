@@ -12,6 +12,12 @@
 //! 3. feedback re-planning must rescue even the uniform model: observed
 //!    candidate rows recost the plan (`plans_recosted`), with unchanged
 //!    verdicts.
+//!
+//! Every build checks results and counters. The wall-clock floor of (1) is
+//! asserted in release builds only (CI runs `cargo test --release --test
+//! engine_adaptive_costing -- --nocapture`, which prints the measured
+//! ratio): a debug build's timing says nothing about the optimized path
+//! and varies from run to run.
 
 use castor_bench::skewed_costing_workload;
 use castor_engine::{CostModelKind, Engine, EngineConfig, Prior};
@@ -70,6 +76,11 @@ fn histogram_costing_outpaces_uniform_on_skewed_data() {
     assert_eq!(uniform.report().budget_exhausted, 0);
 
     let speedup = uni_time.as_secs_f64() / hist_time.as_secs_f64().max(1e-9);
+    println!(
+        "adaptive costing speedup: uniform/histogram = {speedup:.2}× (histogram \
+         {hist_time:?}, uniform {uni_time:?})"
+    );
+    #[cfg(not(debug_assertions))]
     assert!(
         speedup >= 1.3,
         "histogram costing must beat uniform by ≥1.3× on skewed data, got {speedup:.2}× \

@@ -5,6 +5,12 @@
 //! workload in CI with the acceptance floor plus counter-based assertions
 //! that the speedup really comes from shared-prefix execution, and an exact
 //! result-equivalence check between the two paths.
+//!
+//! Every build checks the equivalence and the counters. The wall-clock
+//! floor is asserted in release builds only (CI runs `cargo test --release
+//! --test engine_batch_speedup -- --nocapture`, which prints the measured
+//! ratio): a debug build's timing says nothing about the optimized path
+//! and varies from run to run.
 
 use castor_bench::beam_candidate_batch;
 use castor_datasets::uwcse::{generate, UwCseConfig};
@@ -76,6 +82,11 @@ fn batched_beam_scoring_outpaces_sequential_scoring() {
         "batched and sequential scoring disagree"
     );
     let speedup = sequential_time.as_secs_f64() / batched_time.as_secs_f64().max(1e-9);
+    println!(
+        "batch speedup: sequential/batched = {speedup:.2}× (batched {batched_time:?}, \
+         sequential {sequential_time:?})"
+    );
+    #[cfg(not(debug_assertions))]
     assert!(
         speedup >= 1.5,
         "batched beam scoring must beat one-clause-at-a-time by ≥1.5×, got {speedup:.2}× \

@@ -5,6 +5,13 @@
 //! deliberately generous wall-clock floor — shared runners jitter, and a
 //! timing flake must not fail unrelated PRs — plus counter-based
 //! assertions that the speedup really comes from the cache.
+//!
+//! Every build checks the deterministic part: the engine and the baseline
+//! count the same covered examples, and cache hits dwarf misses. The
+//! wall-clock floor is asserted in release builds only (CI runs `cargo
+//! test --release --test engine_speedup -- --nocapture`, which prints the
+//! measured ratio): a debug build's timing says nothing about the
+//! optimized path and varies from run to run.
 
 use castor_bench::coverage_candidate_sequence;
 use castor_datasets::uwcse::{generate, UwCseConfig};
@@ -79,6 +86,11 @@ fn cached_coverage_outpaces_uncached_baseline() {
     // Locally this measures ≥5× (see the Criterion bench); the CI floor is
     // 2× so scheduler jitter on shared runners cannot flake the suite.
     let speedup = baseline_time.as_secs_f64() / engine_time.as_secs_f64().max(1e-9);
+    println!(
+        "engine speedup: baseline/engine = {speedup:.2}× (engine {engine_time:?}, baseline \
+         {baseline_time:?})"
+    );
+    #[cfg(not(debug_assertions))]
     assert!(
         speedup >= 2.0,
         "engine must clearly outpace the uncached baseline, got {speedup:.1}× \
