@@ -1,9 +1,12 @@
 //! Machine-readable Figure 2 benchmark: thread sweep over parallel
 //! ground-bottom-clause construction (the phase that dominated runtime at
-//! reduced synthetic scales and kept the original Figure 2 sweep flat)
-//! plus the cross-variant coverage-reuse comparison (shared cache arena
-//! vs. isolated per-variant engines). Writes the results to
-//! `BENCH_fig2.json` in the current directory — the artifact CI or a
+//! reduced synthetic scales and kept the original Figure 2 sweep flat).
+//! One untimed warm-up pass runs every thread count first; the measured
+//! rounds then interleave the thread counts round-robin (each round
+//! starting one count later), so host drift spreads over every point
+//! instead of landing on whichever count ran last. Writes the results —
+//! host core count, best-of-N time and min/max spread per point — to
+//! `BENCH_fig2.json` in the current directory, the artifact CI or a
 //! tracking dashboard diffs across commits.
 //!
 //! Run with: `cargo run --release -p castor-bench --bin bench_fig2`
@@ -11,24 +14,15 @@
 use castor_core::{ground_bottom_clauses, BottomClausePlan, CastorConfig};
 use castor_datasets::uwcse::{self, UwCseConfig};
 use castor_engine::WorkerPool;
-use castor_eval::{run_uwcse_cross_variant_coverage, run_uwcse_independent_coverage, Transport};
 use castor_relational::Tuple;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const MEASUREMENTS: usize = 3;
+const MEASUREMENTS: usize = 5;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Minimum over `MEASUREMENTS` runs (the standard de-noised estimate for
-/// a deterministic loop), warm-up included.
-fn best(mut f: impl FnMut() -> Duration) -> Duration {
-    f();
-    (0..MEASUREMENTS).map(|_| f()).min().unwrap()
-}
-
 fn main() {
-    // --- Part 1: bottom-clause construction thread sweep -----------------
     // Enlarged UW-CSE so one sequential pass costs real time; every sweep
     // point saturates the same deduplicated example list.
     let family = uwcse::generate(&UwCseConfig {
@@ -47,85 +41,54 @@ fn main() {
         .chain(variant.task.negative.iter())
         .cloned()
         .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut sweep_json = String::new();
-    let mut baseline_ns = 0u128;
-    for (i, &t) in THREADS.iter().enumerate() {
-        let pool = Arc::new(WorkerPool::new(t));
-        let elapsed = best(|| {
-            let start = Instant::now();
-            let ground =
-                ground_bottom_clauses(&variant.db, &plan, "advisedBy", &examples, &config, &pool);
-            assert!(!ground.is_empty());
-            start.elapsed()
-        });
-        if t == 1 {
-            baseline_ns = elapsed.as_nanos();
+    let pools: Vec<Arc<WorkerPool>> = THREADS
+        .iter()
+        .map(|&t| Arc::new(WorkerPool::new(t)))
+        .collect();
+    let run = |pool: &Arc<WorkerPool>| {
+        let start = Instant::now();
+        let ground =
+            ground_bottom_clauses(&variant.db, &plan, "advisedBy", &examples, &config, pool);
+        assert!(!ground.is_empty());
+        start.elapsed()
+    };
+
+    for pool in &pools {
+        run(pool);
+    }
+    let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(MEASUREMENTS); THREADS.len()];
+    for round in 0..MEASUREMENTS {
+        for k in 0..THREADS.len() {
+            let i = (round + k) % THREADS.len();
+            times[i].push(run(&pools[i]));
         }
-        let speedup = baseline_ns as f64 / elapsed.as_nanos().max(1) as f64;
-        let _ = write!(
-            sweep_json,
-            "{}    {{ \"threads\": {t}, \"ns_min\": {}, \"speedup_over_1\": {speedup:.3} }}",
-            if i == 0 { "" } else { ",\n" },
-            elapsed.as_nanos()
-        );
-        eprintln!("bottom clauses @ {t} threads: {elapsed:?} ({speedup:.2}x)");
     }
 
-    // --- Part 2: cross-variant coverage reuse -----------------------------
-    let reuse_family = uwcse::generate(&UwCseConfig {
-        students: 40,
-        professors: 8,
-        courses: 12,
-        noise_fraction: 0.0,
-        ..Default::default()
-    });
-    let clauses = uwcse::ground_truth_original().clauses;
-    let task = &reuse_family.variants[0].task;
-    let reuse_examples: Vec<Tuple> = task
-        .positive
-        .iter()
-        .chain(task.negative.iter())
-        .cloned()
-        .collect();
-
-    let mut cross_hits = 0usize;
-    let shared = best(|| {
-        let start = Instant::now();
-        let runs = run_uwcse_cross_variant_coverage(
-            &reuse_family,
-            &clauses,
-            &reuse_examples,
-            1,
-            Transport::InProcess,
+    let mut sweep_json = String::new();
+    let baseline = *times[0].iter().min().unwrap();
+    for (i, &t) in THREADS.iter().enumerate() {
+        let min = *times[i].iter().min().unwrap();
+        let max = *times[i].iter().max().unwrap();
+        let speedup = baseline.as_secs_f64() / min.as_secs_f64().max(1e-9);
+        let spread = (max.as_secs_f64() - min.as_secs_f64()) / min.as_secs_f64().max(1e-9);
+        let _ = write!(
+            sweep_json,
+            "{}    {{ \"threads\": {t}, \"ns_min\": {}, \"ns_max\": {}, \
+             \"spread\": {spread:.3}, \"speedup_over_1\": {speedup:.3} }}",
+            if i == 0 { "" } else { ",\n" },
+            min.as_nanos(),
+            max.as_nanos(),
         );
-        cross_hits = runs.iter().map(|r| r.report.cross_variant_hits).sum();
-        start.elapsed()
-    });
-    let independent = best(|| {
-        let start = Instant::now();
-        let runs = run_uwcse_independent_coverage(&reuse_family, &clauses, &reuse_examples, 1);
-        assert_eq!(runs.len(), 4);
-        start.elapsed()
-    });
-    let reuse_speedup = independent.as_secs_f64() / shared.as_secs_f64().max(1e-9);
-    eprintln!(
-        "cross-variant: shared {shared:?} vs independent {independent:?} \
-         ({reuse_speedup:.2}x, {cross_hits} cross hits)"
-    );
+        eprintln!("bottom clauses @ {t} threads: {min:?} best, {max:?} worst ({speedup:.2}x)");
+    }
 
     let json = format!(
-        "{{\n  \"bench\": \"fig2\",\n  \"bottom_clause_sweep\": {{\n    \"examples\": {},\n    \
-         \"measurements\": {MEASUREMENTS},\n    \"points\": [\n{sweep_json}\n    ]\n  }},\n  \
-         \"cross_variant_reuse\": {{\n    \"variants\": 4,\n    \"clauses\": {},\n    \
-         \"examples\": {},\n    \"shared_arena_ns_min\": {},\n    \
-         \"independent_ns_min\": {},\n    \"independent_over_shared\": {reuse_speedup:.4},\n    \
-         \"cross_variant_hits\": {cross_hits}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"fig2\",\n  \"nproc\": {nproc},\n  \"bottom_clause_sweep\": {{\n    \
+         \"examples\": {},\n    \"warmup_passes\": 1,\n    \"measurements\": {MEASUREMENTS},\n    \
+         \"order\": \"round-robin\",\n    \"points\": [\n{sweep_json}\n    ]\n  }}\n}}\n",
         examples.len(),
-        clauses.len(),
-        reuse_examples.len(),
-        shared.as_nanos(),
-        independent.as_nanos(),
     );
     std::fs::write("BENCH_fig2.json", &json).expect("write BENCH_fig2.json");
     print!("{json}");

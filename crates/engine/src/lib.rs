@@ -31,7 +31,6 @@
 //! workspace (Castor, FOIL, Golem, Progol, ProGolem) routes coverage tests
 //! through it.
 
-pub mod arena;
 pub mod batch;
 pub mod cache;
 pub mod cost;
@@ -41,7 +40,6 @@ pub mod plan;
 pub mod pool;
 pub mod stats;
 
-pub use arena::{CacheArena, CacheBinding, ClauseLens, RelationLens};
 pub use batch::{BatchItemStats, BatchPlan};
 pub use cache::{
     canonical_group, canonicalize, BatchFetch, BatchPlanCache, CoverageCache, TrieExhaustions,
@@ -108,9 +106,6 @@ pub struct EngineConfig {
     pub cache_coverage: bool,
     /// Maximum distinct clauses held by the coverage cache.
     pub cache_capacity: usize,
-    /// Compile and reuse per-clause join plans; when disabled every test
-    /// falls back to the interpreted evaluator (the ablation baseline).
-    pub compile_plans: bool,
     /// Minimum pending examples before a `covered_set` call is spread over
     /// the worker pool.
     pub parallel_threshold: usize,
@@ -134,7 +129,6 @@ impl Default for EngineConfig {
             eval_budget: DEFAULT_EVAL_NODE_BUDGET,
             cache_coverage: true,
             cache_capacity: 16_384,
-            compile_plans: true,
             parallel_threshold: 8,
             cost_model: CostModelKind::Histogram,
             recost_after: 8,
@@ -159,12 +153,6 @@ impl EngineConfig {
     /// Returns a copy with memoization disabled (benchmark baseline).
     pub fn without_cache(mut self) -> Self {
         self.cache_coverage = false;
-        self
-    }
-
-    /// Returns a copy with plan compilation disabled (benchmark baseline).
-    pub fn without_compiled_plans(mut self) -> Self {
-        self.compile_plans = false;
         self
     }
 
@@ -196,8 +184,6 @@ pub enum Prior<'a> {
     /// No prior knowledge: test every example (cache permitting).
     #[default]
     None,
-    /// These examples are known covered (legacy explicit form).
-    Known(&'a HashSet<Tuple>),
     /// The queried clause generalizes this clause, so everything the parent
     /// is cached as covering is covered — the generality order of
     /// Section 7.5.4 as an engine invariant.
@@ -269,18 +255,11 @@ pub trait CoverageTester {
 /// keying, prior handling (including the generality order), batched memo
 /// lookup/writeback, and worker-pool dispatch. Parameterized by a
 /// [`CoverageTester`] so the database executor and the θ-subsumption tester
-/// stay a single code path.
-///
-/// The memo cache is reached through a [`CacheBinding`]: a private binding
-/// behaves like owning the cache directly, while a binding into a shared
-/// [`CacheArena`] translates every cache key through the engine's variant
-/// lens into the logical database's canonical schema — so verdicts proven
-/// by *other* schema variants are served here (and vice versa). Only cache
-/// keys are translated; plans compile and execute against this engine's
-/// own schema.
+/// stay a single code path. The runtime owns its memo cache, keyed by
+/// α-canonical clauses of its own engine's schema.
 #[derive(Debug)]
 pub struct CoverageRuntime {
-    binding: CacheBinding,
+    cache: CoverageCache,
     pool: Arc<WorkerPool>,
     metrics: Arc<EngineStats>,
     cache_coverage: bool,
@@ -289,20 +268,10 @@ pub struct CoverageRuntime {
 
 impl CoverageRuntime {
     /// Builds a runtime from the engine configuration and a (possibly
-    /// shared) worker pool, with a private coverage cache.
+    /// shared) worker pool, with its own coverage cache.
     pub fn new(config: &EngineConfig, pool: Arc<WorkerPool>) -> Self {
-        CoverageRuntime::with_binding(config, pool, CacheBinding::private(config.cache_capacity))
-    }
-
-    /// Builds a runtime probing the coverage cache through `binding`
-    /// (typically one handed out by a shared [`CacheArena`]).
-    pub fn with_binding(
-        config: &EngineConfig,
-        pool: Arc<WorkerPool>,
-        binding: CacheBinding,
-    ) -> Self {
         CoverageRuntime {
-            binding,
+            cache: CoverageCache::new(config.cache_capacity),
             pool,
             metrics: Arc::new(EngineStats::new()),
             cache_coverage: config.cache_coverage,
@@ -321,57 +290,20 @@ impl CoverageRuntime {
         &self.metrics
     }
 
-    /// The coverage cache behind this runtime's binding.
-    fn cache(&self) -> &CoverageCache {
-        self.binding.cache()
-    }
-
-    /// The variant id this runtime's cache writes are tagged with.
-    fn variant(&self) -> u16 {
-        self.binding.variant()
-    }
-
-    /// The cache key of an α-canonical clause: the clause itself for a
-    /// private binding, its (re-canonicalized) canonical-schema image for
-    /// an arena binding. The lens maps literals across schemas, which can
-    /// reorder variable first occurrences, so the image is α-canonicalized
-    /// again — α-equivalent images from different variants must collide.
-    fn key_of<'a>(&self, canonical: &'a Clause) -> std::borrow::Cow<'a, Clause> {
-        match self.binding.key_of(canonical) {
-            Some(mapped) => {
-                EngineStats::bump(&self.metrics.cross_variant_translations);
-                std::borrow::Cow::Owned(canonicalize(&mapped))
-            }
-            None => std::borrow::Cow::Borrowed(canonical),
-        }
-    }
-
-    /// Counts cache serves whose verdict another variant proved.
-    fn note_cross_hits(&self, cross: usize) {
-        if cross > 0 {
-            EngineStats::add(&self.metrics.cross_variant_hits, cross);
-        }
-    }
-
     /// Snapshot of the runtime counters (including the coverage cache's
     /// budget-tier eviction count, which the cache tracks itself).
     pub fn report(&self) -> EngineReport {
         let mut report = self.metrics.snapshot();
-        report.exhaustions_evicted = self.cache().exhaustions_evicted();
+        report.exhaustions_evicted = self.cache.exhaustions_evicted();
         report
     }
 
     /// Drops cached coverage for every clause referencing one of
     /// `relations` (the mutation-invalidation hook; see
     /// [`CoverageCache::invalidate_relations`]). Returns the number of
-    /// clauses dropped. Under an arena binding the dirty set is first
-    /// translated to the canonical relations it can influence — cached keys
-    /// name canonical-schema relations.
+    /// clauses dropped.
     pub fn invalidate_relations(&self, relations: &std::collections::BTreeSet<String>) -> usize {
-        let dropped = match self.binding.relations_of(relations) {
-            Some(translated) => self.cache().invalidate_relations(&translated),
-            None => self.cache().invalidate_relations(relations),
-        };
+        let dropped = self.cache.invalidate_relations(relations);
         if dropped > 0 {
             EngineStats::add(&self.metrics.cache_clauses_invalidated, dropped);
         }
@@ -380,7 +312,7 @@ impl CoverageRuntime {
 
     /// Drops the whole coverage cache (see [`CoverageCache::clear`]).
     pub fn clear_cache(&self) {
-        self.cache().clear();
+        self.cache.clear();
     }
 
     /// Drops one clause's cached exhaustion entries (see
@@ -388,14 +320,14 @@ impl CoverageRuntime {
     /// is recosted, since those exhaustions were observed under the
     /// discarded join order.
     pub fn drop_exhausted(&self, canonical: &Clause) -> usize {
-        self.cache().drop_exhausted(&self.key_of(canonical))
+        self.cache.drop_exhausted(canonical)
     }
 
     /// Drops every cached exhaustion entry (see
     /// [`CoverageCache::drop_all_exhausted`]) — called when the plan table
     /// is cleared at capacity, which reverts every recosted join order.
     pub fn drop_all_exhausted(&self) -> usize {
-        self.cache().drop_all_exhausted()
+        self.cache.drop_all_exhausted()
     }
 
     /// Tri-state coverage test for one example through the memo cache.
@@ -406,12 +338,9 @@ impl CoverageRuntime {
         example: &Tuple,
     ) -> CoverageOutcome {
         let scope = tester.exhaustion_scope();
-        let key = self.key_of(canonical);
         if self.cache_coverage {
-            let (cached, cross) = self.cache().get_from(&key, example, scope, self.variant());
-            if let Some(outcome) = cached {
+            if let Some(outcome) = self.cache.get(canonical, example, scope) {
                 EngineStats::bump(&self.metrics.cache_hits);
-                self.note_cross_hits(cross as usize);
                 return outcome;
             }
             EngineStats::bump(&self.metrics.cache_misses);
@@ -421,11 +350,10 @@ impl CoverageRuntime {
             // Narrow the scope across the test: a cancellation that fired
             // during it turned an exhaustion into an abort (drop), and a
             // concurrent budget change must not inflate the stored key.
-            self.cache().insert_many_from(
-                &key,
+            self.cache.insert_many(
+                canonical,
                 std::iter::once((example.clone(), outcome)),
                 narrow_scope(scope, tester.exhaustion_scope()),
-                self.variant(),
             );
         }
         outcome
@@ -442,45 +370,19 @@ impl CoverageRuntime {
         prior: Prior<'_>,
     ) -> HashSet<Tuple> {
         let mut covered: HashSet<Tuple> = HashSet::new();
-        let mut skip: HashSet<Tuple> = HashSet::new();
-        // `cacheable_skips`: only generality-derived facts go into the memo
-        // table. Entries from Prior::Known are the *caller's* claim — they
-        // shape this result but must not poison the shared cache.
-        let mut cacheable_skips = false;
-        match prior {
-            Prior::None => {}
-            Prior::Known(known) => {
-                for e in examples {
-                    if known.contains(e) {
-                        covered.insert(e.clone());
-                        skip.insert(e.clone());
-                    }
-                }
-            }
-            Prior::GeneralizationOf(parent) => {
-                let parent_canonical = canonicalize(parent);
-                let parent_key = self.key_of(&parent_canonical);
-                let (subset, cross) =
-                    self.cache()
-                        .covered_subset_from(&parent_key, examples, self.variant());
-                self.note_cross_hits(cross);
-                for e in subset {
-                    covered.insert(e.clone());
-                    skip.insert(e);
-                }
-                cacheable_skips = true;
-            }
+        if let Prior::GeneralizationOf(parent) = prior {
+            covered.extend(self.cache.covered_subset(&canonicalize(parent), examples));
         }
         let scope = tester.exhaustion_scope();
-        let key = self.key_of(canonical);
-        if !skip.is_empty() {
-            EngineStats::add(&self.metrics.generality_skips, skip.len());
-            if self.cache_coverage && cacheable_skips {
-                self.cache().insert_many_from(
-                    &key,
-                    skip.iter().map(|e| (e.clone(), CoverageOutcome::Covered)),
+        if !covered.is_empty() {
+            EngineStats::add(&self.metrics.generality_skips, covered.len());
+            if self.cache_coverage {
+                self.cache.insert_many(
+                    canonical,
+                    covered
+                        .iter()
+                        .map(|e| (e.clone(), CoverageOutcome::Covered)),
                     scope,
-                    self.variant(),
                 );
             }
         }
@@ -489,17 +391,13 @@ impl CoverageRuntime {
         // evaluate the remainder.
         let mut pending: Vec<Tuple> = Vec::new();
         let cached = if self.cache_coverage {
-            let (rows, cross) = self
-                .cache()
-                .get_batch_from(&key, examples, scope, self.variant());
-            self.note_cross_hits(cross);
-            rows
+            self.cache.get_batch(canonical, examples, scope)
         } else {
             vec![None; examples.len()]
         };
         let mut hits = 0usize;
         for (e, cached) in examples.iter().zip(cached) {
-            if skip.contains(e) || covered.contains(e) {
+            if covered.contains(e) {
                 continue;
             }
             match cached {
@@ -532,11 +430,10 @@ impl CoverageRuntime {
             // Narrow the scope across the evaluation: mid-flight
             // cancellations drop the exhaustions, concurrent budget
             // changes cannot inflate the stored key.
-            self.cache().insert_many_from(
-                &key,
+            self.cache.insert_many(
+                canonical,
                 pending.iter().cloned().zip(outcomes.iter().copied()),
                 narrow_scope(scope, tester.exhaustion_scope()),
-                self.variant(),
             );
         }
         for (e, outcome) in pending.into_iter().zip(outcomes) {
@@ -578,16 +475,13 @@ impl CoverageRuntime {
         if !pairs.is_empty() {
             let outcomes = self.evaluate_pairs(tester, &prep.unique, examples, &pairs);
             // Scope narrowed across the evaluation (see `covered_set`).
-            // Split the prep borrows: cache keys stay immutable while the
+            // Split the prep borrows: the clauses stay immutable while the
             // covered sets absorb the outcomes.
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut prep;
             self.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
+                unique,
                 examples,
                 &pairs,
                 &outcomes,
@@ -625,44 +519,11 @@ impl CoverageRuntime {
             });
             slot_of.push(slot);
         }
-        // Arena bindings key the cache by the canonical-schema image, one
-        // translation per unique clause. Execution keeps using `unique` —
-        // the image names relations of the canonical schema, not this
-        // engine's.
-        let keys: Option<Vec<Clause>> = self
-            .binding
-            .translates()
-            .then(|| unique.iter().map(|c| self.key_of(c).into_owned()).collect());
-        let key_at = |slot: usize| keys.as_deref().map_or(&unique[slot], |k| &k[slot]);
-
         let mut covered: Vec<HashSet<Tuple>> = vec![HashSet::new(); unique.len()];
-        // Only generality-derived skips may be written back to the shared
-        // cache; `Prior::Known` entries are the caller's claim.
-        let mut cacheable: Vec<Vec<Tuple>> = vec![Vec::new(); unique.len()];
         for (i, prior) in priors.iter().enumerate() {
-            let slot = slot_of[i];
-            match prior {
-                Prior::None => {}
-                Prior::Known(known) => {
-                    for e in examples {
-                        if known.contains(e) {
-                            covered[slot].insert(e.clone());
-                        }
-                    }
-                }
-                Prior::GeneralizationOf(parent) => {
-                    let parent_canonical = canonicalize(parent);
-                    let parent_key = self.key_of(&parent_canonical);
-                    let (subset, cross) =
-                        self.cache()
-                            .covered_subset_from(&parent_key, examples, self.variant());
-                    self.note_cross_hits(cross);
-                    for e in subset {
-                        if covered[slot].insert(e.clone()) {
-                            cacheable[slot].push(e);
-                        }
-                    }
-                }
+            if let Prior::GeneralizationOf(parent) = prior {
+                covered[slot_of[i]]
+                    .extend(self.cache.covered_subset(&canonicalize(parent), examples));
             }
         }
         let skips: usize = covered.iter().map(HashSet::len).sum();
@@ -670,25 +531,22 @@ impl CoverageRuntime {
             EngineStats::add(&self.metrics.generality_skips, skips);
         }
         if self.cache_coverage {
-            for (slot, derived) in cacheable.into_iter().enumerate() {
-                if !derived.is_empty() {
-                    self.cache().insert_many_from(
-                        key_at(slot),
-                        derived.into_iter().map(|e| (e, CoverageOutcome::Covered)),
+            // Generality-derived skips are sound, so they are cached too.
+            for (slot, skipped) in covered.iter().enumerate() {
+                if !skipped.is_empty() {
+                    self.cache.insert_many(
+                        &unique[slot],
+                        skipped
+                            .iter()
+                            .map(|e| (e.clone(), CoverageOutcome::Covered)),
                         scope,
-                        self.variant(),
                     );
                 }
             }
         }
 
         let rows = if self.cache_coverage {
-            let probe = keys.as_deref().unwrap_or(&unique);
-            let (rows, cross) =
-                self.cache()
-                    .get_batch_multi_from(probe, examples, scope, self.variant());
-            self.note_cross_hits(cross);
-            rows
+            self.cache.get_batch_multi(&unique, examples, scope)
         } else {
             vec![vec![None; examples.len()]; unique.len()]
         };
@@ -720,7 +578,6 @@ impl CoverageRuntime {
         }
         BatchPrep {
             unique,
-            keys,
             slot_of,
             covered,
             pending,
@@ -753,12 +610,10 @@ impl CoverageRuntime {
 
     /// Writes evaluated pair outcomes back to the memo cache (grouped per
     /// clause, one lock each) and folds covered verdicts into the per-slot
-    /// covered sets. `keys` are the *cache keys* of the evaluated slots
-    /// (the canonical clauses themselves under a private binding, their
-    /// canonical-schema images under an arena binding).
+    /// covered sets. `unique` are the canonical clauses of the slots.
     fn absorb_pair_outcomes(
         &self,
-        keys: &[Clause],
+        unique: &[Clause],
         examples: &[Tuple],
         pairs: &[(usize, usize)],
         outcomes: &[CoverageOutcome],
@@ -768,18 +623,13 @@ impl CoverageRuntime {
         if self.cache_coverage {
             // One pass: bucket outcomes by slot, then one insert_many per
             // clause that actually evaluated something.
-            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> = vec![Vec::new(); keys.len()];
+            let mut by_slot: Vec<Vec<(Tuple, CoverageOutcome)>> = vec![Vec::new(); unique.len()];
             for (&(slot, ei), &outcome) in pairs.iter().zip(outcomes) {
                 by_slot[slot].push((examples[ei].clone(), outcome));
             }
             for (slot, slot_outcomes) in by_slot.into_iter().enumerate() {
                 if !slot_outcomes.is_empty() {
-                    self.cache().insert_many_from(
-                        &keys[slot],
-                        slot_outcomes,
-                        scope,
-                        self.variant(),
-                    );
+                    self.cache.insert_many(&unique[slot], slot_outcomes, scope);
                 }
             }
         }
@@ -792,13 +642,11 @@ impl CoverageRuntime {
 }
 
 /// The shared pre-pass state of one batched evaluation: canonical unique
-/// clauses, their cache keys when the binding translates (`None` under a
-/// private binding — the canonical clauses are the keys), the mapping from
-/// the caller's clause order onto them, known coverage (priors + cache),
-/// and the (slot → example indices) work that still needs evaluation.
+/// clauses (also the cache keys), the mapping from the caller's clause
+/// order onto them, known coverage (priors + cache), and the (slot →
+/// example indices) work that still needs evaluation.
 struct BatchPrep {
     unique: Vec<Clause>,
-    keys: Option<Vec<Clause>>,
     slot_of: Vec<usize>,
     covered: Vec<HashSet<Tuple>>,
     pending: Vec<Vec<usize>>,
@@ -973,7 +821,7 @@ impl Engine {
         pool: Arc<WorkerPool>,
         obs: Arc<Obs>,
     ) -> Self {
-        Engine::build(db, config, pool, EngineObs::new(obs), None)
+        Engine::build(db, config, pool, EngineObs::new(obs))
     }
 
     /// [`Engine::with_observability`], but every engine latency histogram
@@ -987,36 +835,7 @@ impl Engine {
         obs: Arc<Obs>,
         db_label: &str,
     ) -> Self {
-        Engine::build(
-            db,
-            config,
-            pool,
-            EngineObs::with_label(obs, Some(db_label)),
-            None,
-        )
-    }
-
-    /// [`Engine::with_labeled_observability`], but probing the coverage
-    /// cache through a [`CacheBinding`] from a shared [`CacheArena`]: this
-    /// engine's database is one schema variant of a logical database, and
-    /// verdicts proven by the other variants sharing the arena are served
-    /// here (keyed by each clause's canonical-schema image). Pass
-    /// `db_label = None` for unlabeled histograms.
-    pub fn with_cache_binding(
-        db: Arc<DatabaseInstance>,
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-        obs: Arc<Obs>,
-        db_label: Option<&str>,
-        binding: CacheBinding,
-    ) -> Self {
-        Engine::build(
-            db,
-            config,
-            pool,
-            EngineObs::with_label(obs, db_label),
-            Some(binding),
-        )
+        Engine::build(db, config, pool, EngineObs::with_label(obs, Some(db_label)))
     }
 
     fn build(
@@ -1024,13 +843,9 @@ impl Engine {
         config: EngineConfig,
         pool: Arc<WorkerPool>,
         obs: EngineObs,
-        binding: Option<CacheBinding>,
     ) -> Self {
         let db_stats = DatabaseStatistics::gather(&db);
-        let runtime = match binding {
-            Some(binding) => CoverageRuntime::with_binding(&config, pool, binding),
-            None => CoverageRuntime::new(&config, pool),
-        };
+        let runtime = CoverageRuntime::new(&config, pool);
         Engine {
             db_stats: RwLock::new(Arc::new(db_stats)),
             plans: Mutex::new(fx::FxHashMap::default()),
@@ -1512,9 +1327,9 @@ impl Engine {
     ///
     /// `priors` is empty or one [`Prior`] per clause (the generality order,
     /// exactly as in [`Engine::covered_set`]). The engine falls back to
-    /// per-clause compiled plans when batching cannot help: plan compilation
-    /// disabled, a batch of fewer than two clauses, or candidates that share
-    /// no head with any other candidate.
+    /// per-clause compiled plans when batching cannot help: a batch of fewer
+    /// than two clauses, or candidates that share no head with any other
+    /// candidate.
     pub fn covered_sets_batch_with_priors(
         &self,
         clauses: &[Clause],
@@ -1565,7 +1380,7 @@ impl Engine {
         }
         let metrics = self.runtime.metrics();
         EngineStats::add(&metrics.batch_clauses, clauses.len());
-        if !self.config.compile_plans || clauses.len() < 2 || examples.is_empty() {
+        if clauses.len() < 2 || examples.is_empty() {
             return self
                 .runtime
                 .covered_sets_batch(self, clauses, examples, priors);
@@ -1786,19 +1601,10 @@ impl Engine {
         // itself. Definite verdicts are cached as usual.
         {
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut *prep;
-            self.runtime.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
-                examples,
-                &pairs,
-                &outcomes,
-                covered,
-                None,
-            );
+            self.runtime
+                .absorb_pair_outcomes(unique, examples, &pairs, &outcomes, covered, None);
         }
 
         if !singles.is_empty() {
@@ -1810,13 +1616,10 @@ impl Engine {
             // exhaustions keep the budget tier (scope narrowed across the
             // evaluation, as in `covered_set`).
             let BatchPrep {
-                unique,
-                keys,
-                covered,
-                ..
+                unique, covered, ..
             } = &mut *prep;
             self.runtime.absorb_pair_outcomes(
-                keys.as_deref().unwrap_or(unique),
+                unique,
                 examples,
                 &singles,
                 &outcomes,
@@ -1833,19 +1636,15 @@ impl CoverageTester for Engine {
         EngineStats::bump(&metrics.coverage_tests);
         let db = self.snapshot();
         let mut budget = self.budget_template();
-        let outcome = if self.config.compile_plans {
-            let (plan, feedback) = self.plan_for(canonical, &self.statistics());
-            executor::covers_with_plan_observed(
-                canonical,
-                &plan,
-                &db,
-                example,
-                &mut budget,
-                feedback.as_deref(),
-            )
-        } else {
-            castor_logic::covers_example_budgeted(canonical, &db, example, &mut budget)
-        };
+        let (plan, feedback) = self.plan_for(canonical, &self.statistics());
+        let outcome = executor::covers_with_plan_observed(
+            canonical,
+            &plan,
+            &db,
+            example,
+            &mut budget,
+            feedback.as_deref(),
+        );
         if outcome.is_exhausted() {
             EngineStats::bump(&metrics.budget_exhausted);
         }
@@ -1862,29 +1661,18 @@ impl CoverageTester for Engine {
         let clause = canonical.clone();
         let budget = self.budget_template();
         let examples = Arc::clone(examples);
-        let plan = self
-            .config
-            .compile_plans
-            .then(|| self.plan_for(canonical, &self.statistics()));
+        let (plan, feedback) = self.plan_for(canonical, &self.statistics());
         Box::new(move |i| {
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome = match &plan {
-                Some((plan, feedback)) => executor::covers_with_plan_observed(
-                    &clause,
-                    plan,
-                    &db,
-                    &examples[i],
-                    &mut node_budget,
-                    feedback.as_deref(),
-                ),
-                None => castor_logic::covers_example_budgeted(
-                    &clause,
-                    &db,
-                    &examples[i],
-                    &mut node_budget,
-                ),
-            };
+            let outcome = executor::covers_with_plan_observed(
+                &clause,
+                &plan,
+                &db,
+                &examples[i],
+                &mut node_budget,
+                feedback.as_deref(),
+            );
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -1904,36 +1692,24 @@ impl CoverageTester for Engine {
         let canonicals = Arc::clone(canonicals);
         let examples = Arc::clone(examples);
         let pairs = Arc::clone(pairs);
-        let plans: Option<Vec<FetchedPlan>> = self.config.compile_plans.then(|| {
-            let stats = self.statistics();
-            canonicals
-                .iter()
-                .map(|c| self.plan_for(c, &stats))
-                .collect()
-        });
+        let stats = self.statistics();
+        let plans: Vec<FetchedPlan> = canonicals
+            .iter()
+            .map(|c| self.plan_for(c, &stats))
+            .collect();
         Box::new(move |i| {
             let (slot, ei) = pairs[i];
             EngineStats::bump(&metrics.coverage_tests);
             let mut node_budget = budget.clone();
-            let outcome = match &plans {
-                Some(plans) => {
-                    let (plan, feedback) = &plans[slot];
-                    executor::covers_with_plan_observed(
-                        &canonicals[slot],
-                        plan,
-                        &db,
-                        &examples[ei],
-                        &mut node_budget,
-                        feedback.as_deref(),
-                    )
-                }
-                None => castor_logic::covers_example_budgeted(
-                    &canonicals[slot],
-                    &db,
-                    &examples[ei],
-                    &mut node_budget,
-                ),
-            };
+            let (plan, feedback) = &plans[slot];
+            let outcome = executor::covers_with_plan_observed(
+                &canonicals[slot],
+                plan,
+                &db,
+                &examples[ei],
+                &mut node_budget,
+                feedback.as_deref(),
+            );
             if outcome.is_exhausted() {
                 EngineStats::bump(&metrics.budget_exhausted);
             }
@@ -2050,11 +1826,27 @@ mod tests {
         assert_eq!(report.cache_hits, 0);
     }
 
+    /// The examples the interpreted reference evaluator says `clause`
+    /// covers (the oracle the compiled plans are checked against).
+    fn interpreted_covered_set(
+        clause: &Clause,
+        db: &DatabaseInstance,
+        examples: &[Tuple],
+    ) -> HashSet<Tuple> {
+        examples
+            .iter()
+            .filter(|e| {
+                let mut budget = EvalBudget::new(DEFAULT_EVAL_NODE_BUDGET);
+                castor_logic::covers_example_budgeted(clause, db, e, &mut budget).is_covered()
+            })
+            .cloned()
+            .collect()
+    }
+
     #[test]
     fn interpreted_fallback_agrees_with_compiled_plans() {
         let db = db();
         let compiled = Engine::new(&db, EngineConfig::default());
-        let interpreted = Engine::new(&db, EngineConfig::default().without_compiled_plans());
         let clause = collaborated("x", "y", "p");
         let examples: Vec<Tuple> = vec![
             Tuple::from_strs(&["ann", "bob"]),
@@ -2064,7 +1856,7 @@ mod tests {
         ];
         assert_eq!(
             compiled.covered_set(&clause, &examples, Prior::None),
-            interpreted.covered_set(&clause, &examples, Prior::None)
+            interpreted_covered_set(&clause, &db, &examples)
         );
     }
 
@@ -2217,16 +2009,13 @@ mod tests {
     fn batch_falls_back_without_compiled_plans() {
         let db = db();
         let compiled = Engine::new(&db, EngineConfig::default());
-        let interpreted = Engine::new(&db, EngineConfig::default().without_compiled_plans());
         let beam = sibling_beam();
         let examples = batch_examples();
-        assert_eq!(
-            compiled.covered_sets_batch(&beam, &examples),
-            interpreted.covered_sets_batch(&beam, &examples)
-        );
-        // No trie ran on the interpreted side.
-        assert_eq!(interpreted.report().batches, 0);
-        assert_eq!(interpreted.report().batch_clauses, beam.len());
+        let interpreted: Vec<HashSet<Tuple>> = beam
+            .iter()
+            .map(|clause| interpreted_covered_set(clause, &db, &examples))
+            .collect();
+        assert_eq!(compiled.covered_sets_batch(&beam, &examples), interpreted);
     }
 
     #[test]

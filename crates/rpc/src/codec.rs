@@ -733,8 +733,6 @@ impl Wire for EngineReport {
             self.coverage_tests,
             self.cache_hits,
             self.cache_misses,
-            self.cross_variant_hits,
-            self.cross_variant_translations,
             self.generality_skips,
             self.budget_exhausted,
             self.exhaustions_evicted,
@@ -761,8 +759,6 @@ impl Wire for EngineReport {
             coverage_tests: r.get_usize()?,
             cache_hits: r.get_usize()?,
             cache_misses: r.get_usize()?,
-            cross_variant_hits: r.get_usize()?,
-            cross_variant_translations: r.get_usize()?,
             generality_skips: r.get_usize()?,
             budget_exhausted: r.get_usize()?,
             exhaustions_evicted: r.get_usize()?,
@@ -871,12 +867,32 @@ mod tests {
             expected: 2,
             actual: 3,
         });
-        roundtrip(EngineReport {
-            coverage_tests: 123,
-            exhaustions_evicted: 7,
-            batch_plans_invalidated: 9,
-            ..Default::default()
-        });
+        // Every field distinct, so a swapped or dropped field cannot
+        // round-trip; each value fits one varint byte, so the encoding is
+        // exactly one byte per field.
+        let report = EngineReport {
+            coverage_tests: 1,
+            cache_hits: 2,
+            cache_misses: 3,
+            generality_skips: 4,
+            budget_exhausted: 5,
+            exhaustions_evicted: 6,
+            plans_compiled: 7,
+            plan_cache_hits: 8,
+            plans_invalidated: 9,
+            plans_recosted: 10,
+            cache_clauses_invalidated: 11,
+            mutation_batches: 12,
+            batches: 13,
+            batch_clauses: 14,
+            batch_prefix_hits: 15,
+            batch_suffix_forks: 16,
+            batch_plans_compiled: 17,
+            batch_plan_cache_hits: 18,
+            batch_plans_invalidated: 19,
+        };
+        assert_eq!(to_bytes(&report).len(), 19);
+        roundtrip(report);
         roundtrip(ServerReport {
             sessions_accepted: 1,
             sessions_rejected: 2,

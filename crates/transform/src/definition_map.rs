@@ -21,9 +21,13 @@
 //! placed terms agree with it on every shared target position (and whose
 //! slot for that part is still open), otherwise it opens a new group. On a
 //! body produced by the matching decomposition split this regroups each
-//! split exactly — compose ∘ decompose is the identity on clauses — which
-//! is what lets α-equivalent clauses from different schema variants
-//! collide on one canonical cache key (see [`crate::CanonicalSchema`]).
+//! split exactly: compose ∘ decompose is the identity on clauses.
+//!
+//! Known defect: a part-literal that shares no join attribute with an
+//! open group agrees with it vacuously and is merged into it, so on
+//! bodies not produced by a decomposition split the composition direction
+//! can require two unrelated part-literals to come from one composed
+//! tuple, which changes the clause's answers.
 
 use crate::step::{RelationSpec, TransformStep};
 use crate::transformation::Transformation;

@@ -22,13 +22,9 @@
 //! * the definition mapping δτ in both directions — literal splitting for
 //!   decomposition steps and greedy literal merging (with fresh-variable
 //!   padding) for composition steps;
-//! * [`CanonicalSchema`] — a most-composed anchor giving every variant of a
-//!   logical database a [`VariantLens`] into one shared clause space, the
-//!   basis of cross-variant coverage-verdict reuse in `castor-engine`;
 //! * an information-equivalence verifier that round-trips instances.
 
 pub mod acyclicity;
-pub mod canonical;
 pub mod definition_map;
 pub mod equivalence;
 pub mod inclusion_class;
@@ -36,7 +32,6 @@ pub mod step;
 pub mod transformation;
 
 pub use acyclicity::{inds_are_cyclic, join_is_acyclic};
-pub use canonical::{CanonicalSchema, VariantLens};
 pub use definition_map::{
     map_clause_through_step, map_definition_through, map_definition_through_decomposition,
 };

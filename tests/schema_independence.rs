@@ -11,8 +11,7 @@ use castor_learners::LearnerParams;
 use castor_logic::{Atom, Clause, Term};
 use castor_relational::{RelationSymbol, Schema};
 use castor_transform::{
-    map_clause_through_step, verify_information_equivalence, CanonicalSchema, TransformStep,
-    Transformation,
+    map_clause_through_step, verify_information_equivalence, TransformStep, Transformation,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,7 +148,6 @@ fn random_clause(rng: &mut StdRng, arity: usize) -> Clause {
 /// — mapping any clause through a random lossless decomposition and back
 /// through its inverse composition reproduces the clause literal-for-
 /// literal, whatever joins, constants, and repeated literals it contains.
-/// This is the identity `CanonicalSchema` cache keying stands on.
 #[test]
 fn compose_after_decompose_is_the_identity_on_random_clauses() {
     for seed in 0..40u64 {
@@ -170,47 +168,6 @@ fn compose_after_decompose_is_the_identity_on_random_clauses() {
                 merged, clause,
                 "seed {seed}: compose ∘ decompose must be the identity\n\
                  split through {tau:?} gave {split:?}"
-            );
-        }
-    }
-}
-
-/// Property: the δτ images of a clause in every UW-CSE variant are
-/// θ-equivalent once pulled through the variant's canonical lens — the
-/// exact condition under which the shared coverage cache may serve one
-/// variant's verdict to another.
-#[test]
-fn variant_images_collapse_to_theta_equivalent_canonical_clauses() {
-    use castor_logic::subsumption::theta_equivalent;
-
-    let original = castor_datasets::uwcse::original_schema();
-    let canonical = CanonicalSchema::anchor(
-        &original,
-        castor_datasets::uwcse::to_denormalized2(&original),
-    );
-    let taus = [
-        Transformation::identity("original-to-original"),
-        castor_datasets::uwcse::to_4nf(&original),
-        castor_datasets::uwcse::to_denormalized1(&original),
-        castor_datasets::uwcse::to_denormalized2(&original),
-    ];
-    let clauses = castor_datasets::uwcse::ground_truth_original().clauses;
-    assert!(!clauses.is_empty());
-    for clause in &clauses {
-        let reference = canonical.lens_for(&taus[0]).map_clause(clause);
-        for tau in &taus[1..] {
-            // The clause a tenant of this variant would submit: the δτ
-            // image of the Original-schema clause.
-            let mut image = clause.clone();
-            for step in tau.steps() {
-                image = map_clause_through_step(&image, step);
-            }
-            let through_lens = canonical.lens_for(tau).map_clause(&image);
-            assert!(
-                theta_equivalent(&through_lens, &reference),
-                "{}: canonical image diverges for {clause:?}:\n\
-                 reference {reference:?}\nthrough lens {through_lens:?}",
-                tau.name()
             );
         }
     }
