@@ -2,14 +2,15 @@
 //! client's coverage roundtrip while the server holds an increasing
 //! herd of *idle* sessions. On the readiness-driven core, idle
 //! connections produce no events, so latency must stay flat as the herd
-//! grows; the thread-per-connection core pays two parked threads per
-//! idle session instead. (The full 10k-session soak lives in
+//! grows. (The full 10k-session soak lives in
 //! `tests/rpc_scale.rs`; this bench charts the latency curve at sizes
 //! one process can hold both ends of.)
 
 use castor_bench::rpc_roundtrip_workload;
-use castor_rpc::frame::{read_response, request_to_bytes};
-use castor_rpc::{Request, Response, RpcClient, RpcConfig, RpcServer, DEFAULT_MAX_FRAME_BYTES};
+use castor_rpc::frame::{read_response, request_to_bytes_v};
+use castor_rpc::{
+    Request, Response, RpcClient, RpcConfig, RpcServer, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2,
+};
 use castor_service::{Server, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -20,7 +21,8 @@ use std::sync::Arc;
 /// completed Hello handshake, parked for the holder's lifetime.
 fn hold_idle_sessions(addr: std::net::SocketAddr, count: usize) -> Vec<TcpStream> {
     use std::io::Write;
-    let hello = request_to_bytes(
+    let hello = request_to_bytes_v(
+        PROTOCOL_V2,
         1,
         &Request::Hello {
             database: "bench".to_string(),
@@ -42,10 +44,6 @@ fn hold_idle_sessions(addr: std::net::SocketAddr, count: usize) -> Vec<TcpStream
 }
 
 fn bench_rpc_idle_sessions(c: &mut Criterion) {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
     castor_rpc::sys::raise_nofile_limit();
 
     let workload = rpc_roundtrip_workload();

@@ -1,130 +1,36 @@
-//! Machine-readable RPC transport benchmark: runs the shared
-//! `rpc_roundtrip_workload` through an in-process `Session` and through
-//! a loopback TCP `RpcClient` against the event-loop server,
-//! interleaved best-of-N, and writes the results to `BENCH_rpc.json` in
-//! the current directory — the artifact CI or a tracking dashboard
-//! diffs across commits. Two job shapes: `score` (evaluation-dominated,
-//! counts back — the `tcp_over_in_process` ratio `tests/rpc_overhead.rs`
-//! pins at ≤1.2×) and `covered_sets` (every covered tuple re-materialized
-//! on the client — payload-bound, reported for tracking).
+//! Machine-readable RPC transport benchmark: runs
+//! [`castor_bench::rpc_overhead::measure_rpc_overhead`] and writes the
+//! result to `BENCH_rpc.json` in the current directory — host core
+//! count, best and worst round per side, the TCP/in-process ratio, and
+//! each shape's ceiling and verdict. `tests/rpc_overhead.rs` asserts the
+//! same ceilings on the same measurement, so the artifact and the guard
+//! cannot disagree.
 //!
 //! Run with: `cargo run --release -p castor-bench --bin bench_rpc`
 
-use castor_bench::rpc_roundtrip_workload;
-use castor_rpc::{RpcClient, RpcConfig, RpcServer};
-use castor_service::{Server, ServerConfig};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-const ROUNDS: usize = 30;
-
-/// Interleaved best-of-N over a pair of closures (warm-up included).
-fn best_pair(
-    rounds: usize,
-    mut a: impl FnMut() -> Duration,
-    mut b: impl FnMut() -> Duration,
-) -> (Duration, Duration) {
-    for _ in 0..5 {
-        a();
-        b();
-    }
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..rounds {
-        best_a = best_a.min(a());
-        best_b = best_b.min(b());
-    }
-    (best_a, best_b)
-}
+use castor_bench::rpc_overhead::measure_rpc_overhead;
 
 fn main() {
-    let workload = rpc_roundtrip_workload();
-
-    let in_process = Server::new(ServerConfig::default());
-    in_process
-        .register("bench", Arc::clone(&workload.db))
-        .unwrap();
-    let session = in_process.session("bench").unwrap();
-
-    let service = Arc::new(Server::new(ServerConfig::default()));
-    service.register("bench", Arc::clone(&workload.db)).unwrap();
-    let rpc = RpcServer::bind(service, "127.0.0.1:0", RpcConfig::default()).unwrap();
-    let client = std::sync::Mutex::new(RpcClient::connect(rpc.local_addr(), "bench").unwrap());
-
-    let (score_session, score_tcp) = best_pair(
-        ROUNDS,
-        || {
-            let start = Instant::now();
-            let counts = session
-                .score(
-                    workload.beam.clone(),
-                    workload.positive.clone(),
-                    workload.negative.clone(),
-                )
-                .unwrap();
-            assert_eq!(counts.len(), workload.beam.len());
-            start.elapsed()
-        },
-        || {
-            let start = Instant::now();
-            let counts = client
-                .lock()
-                .unwrap()
-                .score(
-                    workload.beam.clone(),
-                    workload.positive.clone(),
-                    workload.negative.clone(),
-                )
-                .unwrap();
-            assert_eq!(counts.len(), workload.beam.len());
-            start.elapsed()
-        },
-    );
-
-    let (covered_session, covered_tcp) = best_pair(
-        ROUNDS,
-        || {
-            let start = Instant::now();
-            let sets = session
-                .covered_sets(workload.beam.clone(), workload.positive.clone())
-                .unwrap();
-            assert_eq!(sets.len(), workload.beam.len());
-            start.elapsed()
-        },
-        || {
-            let start = Instant::now();
-            let sets = client
-                .lock()
-                .unwrap()
-                .covered_sets(workload.beam.clone(), workload.positive.clone())
-                .unwrap();
-            assert_eq!(sets.len(), workload.beam.len());
-            start.elapsed()
-        },
-    );
-
-    let score_ratio = score_tcp.as_secs_f64() / score_session.as_secs_f64().max(1e-9);
-    let covered_ratio = covered_tcp.as_secs_f64() / covered_session.as_secs_f64().max(1e-9);
-    let json = format!(
-        "{{\n  \"bench\": \"rpc_roundtrip\",\n  \"workload\": {{\n    \"beam_clauses\": {},\n    \
-         \"positive\": {},\n    \"negative\": {},\n    \"rounds\": {ROUNDS}\n  }},\n  \
-         \"score\": {{\n    \"in_process_ns_min\": {},\n    \"tcp_loopback_ns_min\": {},\n    \
-         \"tcp_over_in_process\": {score_ratio:.4}\n  }},\n  \
-         \"covered_sets\": {{\n    \"in_process_ns_min\": {},\n    \"tcp_loopback_ns_min\": {},\n    \
-         \"tcp_over_in_process\": {covered_ratio:.4}\n  }}\n}}\n",
-        workload.beam.len(),
-        workload.positive.len(),
-        workload.negative.len(),
-        score_session.as_nanos(),
-        score_tcp.as_nanos(),
-        covered_session.as_nanos(),
-        covered_tcp.as_nanos(),
-    );
+    let overhead = measure_rpc_overhead();
+    let json = overhead.to_json();
     std::fs::write("BENCH_rpc.json", &json).expect("write BENCH_rpc.json");
     print!("{json}");
-    eprintln!(
-        "rpc transport: score {score_tcp:?} vs {score_session:?} ({score_ratio:.3}x), \
-         covered_sets {covered_tcp:?} vs {covered_session:?} ({covered_ratio:.3}x) \
-         -> BENCH_rpc.json"
-    );
+    for (name, shape) in [
+        ("score", &overhead.score),
+        ("covered_sets", &overhead.covered_sets),
+    ] {
+        eprintln!(
+            "rpc transport {name}: {:?} vs {:?} in-process ({:.3}x), ceiling {:?}: {}",
+            shape.tcp.min,
+            shape.in_process.min,
+            shape.ratio(),
+            shape.ceiling(),
+            if shape.within_bound() {
+                "within bound"
+            } else {
+                "OVER BOUND"
+            },
+        );
+    }
+    eprintln!("-> BENCH_rpc.json");
 }

@@ -15,6 +15,8 @@
 //! comparisons the paper draws (who wins, schema (in)dependence, where the
 //! top-down learners fail) are what these harnesses reproduce.
 
+pub mod rpc_overhead;
+
 use castor_core::CastorConfig;
 use castor_datasets::{hiv, imdb, synthetic, uwcse, SchemaFamily};
 use castor_eval::{run_algorithm_over_family, AlgorithmKind, ExperimentRow};

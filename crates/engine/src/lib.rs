@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Emitted by every covering loop in the workspace (the generic
 /// `covering_loop` in `castor-learners` and Castor's own loop in
 /// `castor-core`) through the sink installed with
-/// [`Engine::set_progress_sink`] — the serving layer streams these to v2
+/// [`Engine::set_progress_sink`] — the serving layer streams these to
 /// wire clients as incremental `LearnJob` progress frames.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnProgress {
@@ -712,7 +712,7 @@ pub struct Engine {
     cancel: Mutex<Option<Arc<AtomicBool>>>,
     /// Deadline token installed by the current serving job, if any: a
     /// second abort source, set by the serving layer's deadline watchdog
-    /// when the job's deadline passes. Threaded into every [`EvalBudget`]
+    /// when the job's deadline passes. Passed into every [`EvalBudget`]
     /// next to the cancellation token.
     deadline: Mutex<Option<Arc<AtomicBool>>>,
     /// Per-job learn-progress sink installed by the serving layer, if any;

@@ -233,6 +233,19 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Upper bound, in bytes, on what a decoder reserves up front for a
+/// collection. A length prefix is bounded only by the bytes left in the
+/// payload, and one byte of payload can stand for an element many bytes
+/// wide, so reserving the declared count would let a forged frame
+/// allocate many times its own size before decoding fails. Past this
+/// bound a collection grows as its elements actually decode.
+const MAX_PREALLOC_BYTES: usize = 4096;
+
+/// The capacity to reserve for `len` declared elements of `T`.
+fn prealloc<T>(len: usize) -> usize {
+    len.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
+}
+
 /// A value with a wire encoding. Field order is the struct's declared
 /// order; enums lead with a one-byte tag.
 pub trait Wire: Sized {
@@ -308,7 +321,7 @@ impl<T: Wire> Wire for Vec<T> {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(prealloc::<T>(len));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -349,7 +362,7 @@ impl Wire for Tuple {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let arity = r.get_len()?;
-        let mut values = Vec::with_capacity(arity);
+        let mut values = Vec::with_capacity(prealloc::<Value>(arity));
         for _ in 0..arity {
             values.push(Value::decode(r)?);
         }
@@ -367,7 +380,7 @@ impl Wire for HashSet<Tuple> {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        let mut out = HashSet::with_capacity(len);
+        let mut out = HashSet::with_capacity(prealloc::<Tuple>(len));
         for _ in 0..len {
             out.insert(Tuple::decode(r)?);
         }
@@ -451,6 +464,13 @@ impl Wire for Definition {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let target = r.get_str()?;
         let clauses = Vec::<Clause>::decode(r)?;
+        // `Definition::new` panics on a foreign head; a frame must fail.
+        if let Some(clause) = clauses.iter().find(|c| c.head.relation != target) {
+            return Err(CodecError::new(format!(
+                "clause head `{}` does not match target `{target}`",
+                clause.head.relation
+            )));
+        }
         Ok(Definition::new(target, clauses))
     }
 }

@@ -33,7 +33,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a single injected fault does when its byte threshold is reached.
@@ -162,20 +162,18 @@ impl FaultPlan {
     }
 
     /// Builds the per-connection runtime state for connection `index`.
-    pub(crate) fn arm(&self, index: u64, stats: &Arc<FaultStats>) -> Option<Arc<ConnFaultState>> {
+    pub(crate) fn arm(&self, index: u64, stats: &Arc<FaultStats>) -> Option<ConnFaultState> {
         let actions = self.actions_for(index);
         if actions.is_empty() {
             return None;
         }
-        Some(Arc::new(ConnFaultState {
-            inner: Mutex::new(ConnFaultInner {
-                actions: actions.iter().map(|&action| Armed::new(action)).collect(),
-                bytes_read: 0,
-                bytes_written: 0,
-                write_broken: false,
-            }),
+        Some(ConnFaultState {
+            actions: actions.iter().map(|&action| Armed::new(action)).collect(),
+            bytes_read: 0,
+            bytes_written: 0,
+            write_broken: false,
             stats: Arc::clone(stats),
-        }))
+        })
     }
 }
 
@@ -270,24 +268,19 @@ impl Armed {
     }
 }
 
+/// Fault state of one connection: byte accounts for both directions and
+/// the armed actions.
 #[derive(Debug)]
-struct ConnFaultInner {
+pub(crate) struct ConnFaultState {
     actions: Vec<Armed>,
     bytes_read: u64,
     bytes_written: u64,
     /// Set once a TearWrite fired: every later write fails fast.
     write_broken: bool,
-}
-
-/// Shared fault state of one connection (the reader and writer halves of
-/// the stream both point here, so byte accounting is connection-global).
-#[derive(Debug)]
-pub(crate) struct ConnFaultState {
-    inner: Mutex<ConnFaultInner>,
     stats: Arc<FaultStats>,
 }
 
-/// What the lock-holding planner tells the unlocked I/O path to do.
+/// What the planner tells the I/O path to do.
 enum ReadStep {
     /// Read up to this many bytes normally (capped so the next threshold
     /// lands exactly on a call boundary).
@@ -327,14 +320,12 @@ impl ConnFaultState {
     /// the next threshold lands exactly on a call boundary; the account
     /// advances by the bytes *actually* read (see
     /// [`ConnFaultState::account_read`]) so short reads cannot smear the
-    /// trigger point. Each side's account is only touched by its own
-    /// thread, so plan-then-account is not a race.
-    fn plan_read(&self, want: usize) -> ReadStep {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let at = inner.bytes_read;
+    /// trigger point.
+    fn plan_read(&mut self, want: usize) -> ReadStep {
+        let at = self.bytes_read;
         let mut allowed = want as u64;
         let mut delay = None;
-        for (idx, armed) in inner.actions.iter_mut().enumerate() {
+        for (idx, armed) in self.actions.iter_mut().enumerate() {
             if armed.fired || !armed.action.kind.is_read_side() {
                 continue;
             }
@@ -374,20 +365,18 @@ impl ConnFaultState {
         }
     }
 
-    fn account_read(&self, n: usize) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.bytes_read += n as u64;
+    fn account_read(&mut self, n: usize) {
+        self.bytes_read += n as u64;
     }
 
-    fn plan_write(&self, want: usize) -> WriteStep {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.write_broken {
+    fn plan_write(&mut self, want: usize) -> WriteStep {
+        if self.write_broken {
             return WriteStep::Broken;
         }
-        let at = inner.bytes_written;
+        let at = self.bytes_written;
         let mut allowed = want as u64;
         let mut delay = None;
-        for (idx, armed) in inner.actions.iter_mut().enumerate() {
+        for (idx, armed) in self.actions.iter_mut().enumerate() {
             if armed.fired || armed.action.kind.is_read_side() {
                 continue;
             }
@@ -397,7 +386,7 @@ impl ConnFaultState {
                     FaultKind::TearWrite => {
                         armed.fired = true;
                         self.stats.record(armed.action.kind);
-                        inner.write_broken = true;
+                        self.write_broken = true;
                         return WriteStep::Tear;
                     }
                     // Deferred confirmation, same as DelayRead.
@@ -420,16 +409,14 @@ impl ConnFaultState {
         }
     }
 
-    fn account_write(&self, n: usize) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.bytes_written += n as u64;
+    fn account_write(&mut self, n: usize) {
+        self.bytes_written += n as u64;
     }
 
     /// Marks a pending delay fault fired and counts it — called by the
     /// I/O path only after the delayed call actually moved bytes.
-    fn confirm_delay(&self, action: usize) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let armed = &mut inner.actions[action];
+    fn confirm_delay(&mut self, action: usize) {
+        let armed = &mut self.actions[action];
         if !armed.fired {
             armed.fired = true;
             self.stats.record(armed.action.kind);
@@ -443,21 +430,12 @@ impl ConnFaultState {
 #[derive(Debug)]
 pub struct FaultStream {
     inner: TcpStream,
-    state: Option<Arc<ConnFaultState>>,
+    state: Option<ConnFaultState>,
 }
 
 impl FaultStream {
-    pub(crate) fn new(inner: TcpStream, state: Option<Arc<ConnFaultState>>) -> FaultStream {
+    pub(crate) fn new(inner: TcpStream, state: Option<ConnFaultState>) -> FaultStream {
         FaultStream { inner, state }
-    }
-
-    /// Clones the stream handle; both halves share the same fault state,
-    /// so byte thresholds apply to the connection, not the half.
-    pub fn try_clone(&self) -> std::io::Result<FaultStream> {
-        Ok(FaultStream {
-            inner: self.inner.try_clone()?,
-            state: self.state.clone(),
-        })
     }
 
     /// Switches the underlying socket's blocking mode (the event-loop
@@ -465,13 +443,8 @@ impl FaultStream {
     pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         self.inner.set_nonblocking(nonblocking)
     }
-
-    fn shutdown_both(&self) {
-        let _ = self.inner.shutdown(Shutdown::Both);
-    }
 }
 
-#[cfg(unix)]
 impl std::os::fd::AsRawFd for FaultStream {
     fn as_raw_fd(&self) -> std::os::fd::RawFd {
         self.inner.as_raw_fd()
@@ -480,7 +453,7 @@ impl std::os::fd::AsRawFd for FaultStream {
 
 impl Read for FaultStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let Some(state) = &self.state else {
+        let Some(state) = &mut self.state else {
             return self.inner.read(buf);
         };
         if buf.is_empty() {
@@ -506,11 +479,11 @@ impl Read for FaultStream {
                 Ok(n)
             }
             ReadStep::Eof => {
-                self.shutdown_both();
+                let _ = self.inner.shutdown(Shutdown::Both);
                 Ok(0)
             }
             ReadStep::Close => {
-                self.shutdown_both();
+                let _ = self.inner.shutdown(Shutdown::Both);
                 Err(std::io::Error::new(
                     std::io::ErrorKind::ConnectionReset,
                     "fault injection: connection closed",
@@ -522,7 +495,7 @@ impl Read for FaultStream {
 
 impl Write for FaultStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let Some(state) = &self.state else {
+        let Some(state) = &mut self.state else {
             return self.inner.write(buf);
         };
         if buf.is_empty() {
@@ -544,7 +517,7 @@ impl Write for FaultStream {
                 Ok(n)
             }
             WriteStep::Tear => {
-                self.shutdown_both();
+                let _ = self.inner.shutdown(Shutdown::Both);
                 Err(std::io::Error::new(
                     std::io::ErrorKind::BrokenPipe,
                     "fault injection: write torn",

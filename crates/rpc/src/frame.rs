@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     frame length N (u32 LE) — bytes after this prefix
-//! 4       1     protocol version (PROTOCOL_V1 or PROTOCOL_V2)
+//! 4       1     protocol version (PROTOCOL_V2 = 2)
 //! 5       1     frame kind (request or response discriminant)
 //! 6       8     request id (u64 LE) — echoed verbatim in the response
 //! 14      N-10  payload (kind-specific binary, see `codec`)
@@ -13,13 +13,14 @@
 //! The length prefix is read first and validated against the configured
 //! maximum *before* any allocation, so an oversized or forged frame is
 //! rejected with a typed error instead of a giant buffer. The version
-//! byte is checked next; versions over the reader's maximum produce
-//! [`ErrorCode::UnsupportedVersion`] and the connection closes. A
-//! connection's version is negotiated by the client's `Hello` frame: the
-//! server answers every frame at that version for the life of the
-//! connection, so v1 clients see a byte-identical v1 server. Request
-//! ids are chosen by the client and echoed by the server, which lets a
-//! client multiplex any number of in-flight requests on one connection.
+//! byte is checked next: this build speaks [`PROTOCOL_V2`] only, and any
+//! other value produces [`ErrorCode::UnsupportedVersion`] and the
+//! connection closes. Request ids are chosen by the client and echoed by
+//! the server, which lets a client multiplex any number of in-flight
+//! requests on one connection.
+//!
+//! The server parses requests incrementally with [`FrameAccumulator`];
+//! the blocking client reads responses with [`read_response`].
 
 use crate::codec::{ByteReader, ByteWriter, CodecError, Wire};
 use castor_engine::{EngineReport, LearnProgress};
@@ -31,26 +32,21 @@ use std::collections::HashSet;
 use std::fmt;
 use std::io::{Read, Write};
 
-/// Protocol v1: the original frame set (PR 5–7). Still spoken verbatim —
-/// a v1 connection's frames are byte-identical to the pre-v2 build.
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol v2: adds streaming response frames ([`Response::Stream`])
-/// with client-granted flow-control credit ([`Request::StreamCredit`],
-/// plus an initial-credit field trailing `Hello`). Negotiated per
-/// connection via the version byte of the client's `Hello` frame.
+/// The one protocol version this build speaks, stamped into every
+/// frame header: streamed response frames ([`Response::Stream`]) under
+/// client-granted flow-control credit ([`Request::StreamCredit`], plus
+/// an initial-credit field trailing `Hello`). The benchmark under
+/// `benchmark/` names it too.
 pub const PROTOCOL_V2: u8 = 2;
-
-/// The highest protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = PROTOCOL_V2;
 
 /// Stream frames a server may write before it needs a fresh
 /// [`Request::StreamCredit`] grant, when the client's `Hello` carries no
 /// explicit initial credit.
 pub const DEFAULT_STREAM_CREDIT: u64 = 1024;
 
-/// Covered sets per [`StreamBody::CoveredChunk`] frame when a v2
-/// connection streams a coverage result.
+/// Covered sets per [`StreamBody::CoveredChunk`] frame when the server
+/// streams a coverage result. The benchmark under `benchmark/` reads it
+/// to size the frames it accounts for.
 pub const COVERED_CHUNK_SETS: usize = 8;
 
 /// Frame header bytes after the length prefix (version + kind + request
@@ -96,7 +92,7 @@ impl fmt::Display for FrameError {
             FrameError::Version { got } => {
                 write!(
                     f,
-                    "peer speaks protocol version {got}, this build speaks up to {PROTOCOL_VERSION}"
+                    "peer speaks protocol version {got}, this build speaks {PROTOCOL_V2}"
                 )
             }
         }
@@ -172,20 +168,15 @@ impl ErrorCode {
 pub enum Request {
     /// Opens the connection's session: the database to bind to plus an
     /// optional per-test node-budget override. Must be the first frame.
-    /// The frame's version byte negotiates the connection protocol: the
-    /// server answers at the client's version when it speaks it, and
-    /// rejects with [`ErrorCode::UnsupportedVersion`] otherwise.
     Hello {
         /// The registered database name.
         database: String,
         /// Per-session node-budget override, if any.
         eval_budget: Option<usize>,
-        /// Initial stream-frame credit (v2): how many [`Response::Stream`]
+        /// Initial stream-frame credit: how many [`Response::Stream`]
         /// frames the server may write before waiting for a
         /// [`Request::StreamCredit`] grant. Encoded as a trailing field
-        /// only when present, so credit-free Hellos (every v1 client) are
-        /// byte-identical to the v1 wire format. Absent means
-        /// [`DEFAULT_STREAM_CREDIT`].
+        /// only when present; absent means [`DEFAULT_STREAM_CREDIT`].
         stream_credit: Option<u64>,
     },
     /// [`castor_service::CoverageJob`] over the wire.
@@ -233,10 +224,10 @@ pub enum Request {
     /// The server's recent spans as Chrome-trace JSON (load
     /// `chrome://tracing` or Perfetto on the payload).
     TraceDump,
-    /// Grants the server `grant` additional stream frames (v2 flow
-    /// control; connection-scoped). Has no response frame. A server whose
-    /// credit is spent blocks *its own connection's* writer until the
-    /// next grant arrives — other connections are unaffected.
+    /// Grants the server `grant` additional stream frames (flow control;
+    /// connection-scoped). Has no response frame. A server whose credit
+    /// is spent parks *this connection's* stream until the next grant
+    /// arrives — other connections are unaffected.
     StreamCredit {
         /// Additional stream frames the server may write.
         grant: u64,
@@ -360,7 +351,7 @@ fn take_trailing_uvarint(r: &mut ByteReader<'_>) -> Result<Option<u64>, CodecErr
     }
 }
 
-/// One chunk of an in-progress response on a v2 connection (the body of
+/// One chunk of an in-progress response (the body of
 /// [`Response::Stream`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamBody {
@@ -370,8 +361,7 @@ pub enum StreamBody {
     Progress(LearnProgress),
     /// A slice of a coverage result's per-clause covered sets, in
     /// submitted clause order. The client concatenates chunks; the chunk
-    /// marked `last` completes the response (no separate
-    /// [`Response::Covered`] frame follows).
+    /// marked `last` completes the response.
     CoveredChunk(Vec<HashSet<Tuple>>),
 }
 
@@ -413,7 +403,9 @@ impl StreamBody {
 pub enum Response {
     /// The session is open; requests may flow.
     HelloOk,
-    /// Per-clause covered subsets, in submitted clause order.
+    /// Per-clause covered subsets, in submitted clause order. The server
+    /// streams covered sets as [`StreamBody::CoveredChunk`] frames; the
+    /// client reassembles them into this response.
     Covered(Vec<HashSet<Tuple>>),
     /// Per-clause positive/negative counts.
     Scores(Vec<castor_engine::ClauseCounts>),
@@ -434,7 +426,7 @@ pub enum Response {
     Metrics(String),
     /// The span ring rendered as Chrome-trace JSON.
     TraceDump(String),
-    /// One streamed chunk of an in-progress response (v2 only). Stream
+    /// One streamed chunk of an in-progress response. Stream
     /// frames echo the originating request id, carry a per-request
     /// sequence number, and count against the connection's flow-control
     /// credit. A [`StreamBody::CoveredChunk`] with `last` set completes
@@ -610,7 +602,8 @@ fn write_frame(
     Ok(())
 }
 
-/// Writes one request frame at the given protocol version.
+/// Writes one request frame at the given protocol version (the client's
+/// [`crate::ClientConfig::protocol_version`]).
 pub fn write_request_v(
     writer: &mut impl Write,
     version: u8,
@@ -622,17 +615,9 @@ pub fn write_request_v(
     write_frame(writer, version, request.kind(), request_id, &w.into_bytes())
 }
 
-/// Writes one v1 request frame — byte-identical to the pre-v2 wire
-/// format for every v1 request shape.
-pub fn write_request(
-    writer: &mut impl Write,
-    request_id: u64,
-    request: &Request,
-) -> Result<(), FrameError> {
-    write_request_v(writer, PROTOCOL_V1, request_id, request)
-}
-
-/// Writes one response frame at the given protocol version.
+/// Writes one response frame at the given protocol version. The server
+/// always passes [`PROTOCOL_V2`]; the parameter stays because the
+/// benchmark under `benchmark/` calls this function by this signature.
 pub fn write_response_v(
     writer: &mut impl Write,
     version: u8,
@@ -650,18 +635,8 @@ pub fn write_response_v(
     )
 }
 
-/// Writes one v1 response frame (see [`write_request`]).
-pub fn write_response(
-    writer: &mut impl Write,
-    request_id: u64,
-    response: &Response,
-) -> Result<(), FrameError> {
-    write_response_v(writer, PROTOCOL_V1, request_id, response)
-}
-
 /// One parsed frame header plus its raw payload.
 struct RawFrame {
-    version: u8,
     kind: u8,
     request_id: u64,
     payload: Vec<u8>,
@@ -669,15 +644,9 @@ struct RawFrame {
 
 /// Reads one frame, enforcing `max_frame_bytes` *before* allocating the
 /// payload (which is read straight into its own buffer — no second
-/// copy). A clean EOF at a frame boundary is [`FrameError::Closed`].
-/// Version bytes in `1..=max_version` are accepted (the negotiated
-/// connection version rides in the returned frame); anything else is
-/// [`FrameError::Version`].
-fn read_frame(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-    max_version: u8,
-) -> Result<RawFrame, FrameError> {
+/// copy). A clean EOF at a frame boundary is [`FrameError::Closed`]; a
+/// version byte other than [`PROTOCOL_V2`] is [`FrameError::Version`].
+fn read_frame(reader: &mut impl Read, max_frame_bytes: usize) -> Result<RawFrame, FrameError> {
     let mut prefix = [0u8; 4];
     match reader.read_exact(&mut prefix) {
         Ok(()) => {}
@@ -705,78 +674,38 @@ fn read_frame(
     // The version check runs after the payload is consumed: an error
     // reply followed by a close must leave no unread bytes behind, or the
     // close degrades from FIN to RST and the peer loses the error frame.
-    let version = header[0];
-    if !(PROTOCOL_V1..=max_version).contains(&version) {
-        return Err(FrameError::Version { got: version });
+    if header[0] != PROTOCOL_V2 {
+        return Err(FrameError::Version { got: header[0] });
     }
     Ok(RawFrame {
-        version,
         kind: header[1],
         request_id: u64::from_le_bytes(header[2..10].try_into().expect("8 header bytes")),
         payload,
     })
 }
 
-/// Reads one request frame (server side), accepting versions up to
-/// `max_version` and reporting the frame's version byte alongside the
-/// request — the server pins the connection to the version of the `Hello`
-/// frame. On a payload decode failure the already-parsed request id rides
-/// along (`Some`), so the server can correlate its typed error frame with
-/// the request that caused it; header-level failures have no id (`None`).
-pub fn read_request_versioned(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-    max_version: u8,
-) -> Result<(u64, u8, Request), (Option<u64>, FrameError)> {
-    let frame = read_frame(reader, max_frame_bytes, max_version).map_err(|e| (None, e))?;
-    let mut r = ByteReader::new(&frame.payload);
-    let decoded = Request::decode_payload(frame.kind, &mut r).and_then(|request| {
-        r.finish()?;
-        Ok(request)
-    });
-    match decoded {
-        Ok(request) => Ok((frame.request_id, frame.version, request)),
-        Err(e) => Err((Some(frame.request_id), e.into())),
-    }
-}
-
-/// [`read_request_versioned`] at this build's maximum version, without
-/// the frame's version byte.
-pub fn read_request_tagged(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(u64, Request), (Option<u64>, FrameError)> {
-    read_request_versioned(reader, max_frame_bytes, PROTOCOL_VERSION)
-        .map(|(id, _, request)| (id, request))
-}
-
-/// [`read_request_tagged`] without the error-side request id.
-pub fn read_request(
-    reader: &mut impl Read,
-    max_frame_bytes: usize,
-) -> Result<(u64, Request), FrameError> {
-    read_request_tagged(reader, max_frame_bytes).map_err(|(_, e)| e)
-}
-
-/// Reads one response frame (client side). Accepts any version this
-/// build speaks: on a negotiated connection every response carries the
-/// connection version, which the client already knows.
+/// Reads one response frame (client side).
 pub fn read_response(
     reader: &mut impl Read,
     max_frame_bytes: usize,
 ) -> Result<(u64, Response), FrameError> {
-    let frame = read_frame(reader, max_frame_bytes, PROTOCOL_VERSION)?;
+    let frame = read_frame(reader, max_frame_bytes)?;
     let mut r = ByteReader::new(&frame.payload);
     let response = Response::decode_payload(frame.kind, &mut r)?;
     r.finish()?;
     Ok((frame.request_id, response))
 }
 
+/// One request frame drained from a [`FrameAccumulator`]: its request id
+/// and request, or the error with the request id when the frame header
+/// parsed (`None` for header-level failures).
+pub type RequestFrame = Result<(u64, Request), (Option<u64>, FrameError)>;
+
 /// Incremental request-frame accumulation for non-blocking transports:
 /// the event-loop server feeds whatever bytes a readiness-driven read
 /// produced and drains complete frames, never blocking mid-frame.
 ///
-/// Semantics mirror the blocking [`read_request_versioned`] exactly:
+/// Semantics:
 ///
 /// * the length prefix is validated against the cap **before** the
 ///   payload is buffered (an oversized frame errors after 4 bytes, no
@@ -793,18 +722,16 @@ pub struct FrameAccumulator {
     /// amortized instead of shifting the buffer per frame).
     pos: usize,
     max_frame_bytes: usize,
-    max_version: u8,
     poisoned: bool,
 }
 
 impl FrameAccumulator {
-    /// An empty accumulator with the connection's negotiated limits.
-    pub fn new(max_frame_bytes: usize, max_version: u8) -> FrameAccumulator {
+    /// An empty accumulator enforcing the given frame cap.
+    pub fn new(max_frame_bytes: usize) -> FrameAccumulator {
         FrameAccumulator {
             buf: Vec::new(),
             pos: 0,
             max_frame_bytes,
-            max_version,
             poisoned: false,
         }
     }
@@ -841,10 +768,7 @@ impl FrameAccumulator {
         }
     }
 
-    fn poison<T>(
-        &mut self,
-        error: (Option<u64>, FrameError),
-    ) -> Option<Result<T, (Option<u64>, FrameError)>> {
+    fn poison(&mut self, error: (Option<u64>, FrameError)) -> Option<RequestFrame> {
         self.poisoned = true;
         self.buf.clear();
         self.pos = 0;
@@ -854,12 +778,9 @@ impl FrameAccumulator {
     /// Drains the next complete request frame, if one is buffered.
     /// `None` means "need more bytes" (or the accumulator is poisoned);
     /// errors carry the already-parsed request id when the frame header
-    /// was intact (payload decode failures), `None` for header-level
-    /// failures — the same contract as [`read_request_versioned`].
-    #[allow(clippy::type_complexity)]
-    pub fn next_request(
-        &mut self,
-    ) -> Option<Result<(u64, u8, Request), (Option<u64>, FrameError)>> {
+    /// was intact (payload decode failures), so the server's typed error
+    /// frame can echo it, and `None` for header-level failures.
+    pub fn next_request(&mut self) -> Option<RequestFrame> {
         if self.poisoned {
             return None;
         }
@@ -896,7 +817,7 @@ impl FrameAccumulator {
         // The whole frame is consumed before the version check (see the
         // type docs: error + close must not leave unread bytes behind).
         self.consume(4 + declared);
-        if !(PROTOCOL_V1..=self.max_version).contains(&version) {
+        if version != PROTOCOL_V2 {
             return self.poison((None, FrameError::Version { got: version }));
         }
         let mut r = ByteReader::new(&payload);
@@ -905,23 +826,18 @@ impl FrameAccumulator {
             Ok(request)
         });
         match decoded {
-            Ok(request) => Some(Ok((request_id, version, request))),
+            Ok(request) => Some(Ok((request_id, request))),
             Err(e) => self.poison((Some(request_id), e.into())),
         }
     }
 }
 
-/// Encodes a request to raw frame bytes at the given protocol version.
+/// Encodes a request to raw frame bytes at the given protocol version
+/// (raw-socket tests and benches).
 pub fn request_to_bytes_v(version: u8, request_id: u64, request: &Request) -> Vec<u8> {
     let mut out = Vec::new();
     write_request_v(&mut out, version, request_id, request).expect("vec writes cannot fail");
     out
-}
-
-/// Encodes a request to raw v1 frame bytes (test helper and bench
-/// fodder).
-pub fn request_to_bytes(request_id: u64, request: &Request) -> Vec<u8> {
-    request_to_bytes_v(PROTOCOL_V1, request_id, request)
 }
 
 /// `Wire` helpers are re-exported for payload-level tooling.
@@ -932,16 +848,32 @@ mod tests {
     use super::*;
     use castor_logic::Atom;
 
+    fn to_bytes(request_id: u64, request: &Request) -> Vec<u8> {
+        request_to_bytes_v(PROTOCOL_V2, request_id, request)
+    }
+
+    /// Feeds `bytes` to a fresh accumulator and drains one frame.
+    fn parse_request(bytes: &[u8]) -> Option<RequestFrame> {
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
+        acc.feed(bytes);
+        acc.next_request()
+    }
+
     fn roundtrip_request(request: Request) {
-        let bytes = request_to_bytes(7, &request);
-        let (id, decoded) = read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let bytes = to_bytes(7, &request);
+        let (id, decoded) = parse_request(&bytes).unwrap().unwrap();
         assert_eq!(id, 7);
         assert_eq!(decoded, request);
     }
 
-    fn roundtrip_response(response: Response) {
+    fn response_bytes(request_id: u64, response: &Response) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_response(&mut bytes, 99, &response).unwrap();
+        write_response_v(&mut bytes, PROTOCOL_V2, request_id, response).unwrap();
+        bytes
+    }
+
+    fn roundtrip_response(response: Response) {
+        let bytes = response_bytes(99, &response);
         let (id, decoded) = read_response(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
         assert_eq!(id, 99);
         assert_eq!(decoded, response);
@@ -1024,10 +956,9 @@ mod tests {
 
     #[test]
     fn trailing_deadline_and_hint_fields_are_version_tolerant() {
-        // A deadline-free request must be byte-identical to the pre-deadline
-        // wire format: the trailing field is simply absent, so old peers
-        // that stop reading at `examples` still parse the frame, and old
-        // frames (with nothing after `examples`) decode to `None` here.
+        // Optional trailing fields are purely appended: a frame without
+        // one is a prefix of the frame with it (past the 4-byte length
+        // prefix), and a frame without it decodes to `None`.
         let base = Request::Coverage {
             clauses: vec![Clause::fact(Atom::vars("t", &["x"]))],
             examples: vec![Tuple::from_strs(&["a"])],
@@ -1038,22 +969,16 @@ mod tests {
             examples: vec![Tuple::from_strs(&["a"])],
             deadline_ms: Some(1_000),
         };
-        let base_bytes = request_to_bytes(1, &base);
-        let deadline_bytes = request_to_bytes(1, &with_deadline);
+        let base_bytes = to_bytes(1, &base);
+        let deadline_bytes = to_bytes(1, &with_deadline);
         assert!(deadline_bytes.len() > base_bytes.len());
-        // Past the 4-byte length prefix the deadline-carrying frame is the
-        // base frame plus trailing bytes — the extension is purely
-        // appended, never reshuffles existing fields.
         assert_eq!(&deadline_bytes[4..base_bytes.len()], &base_bytes[4..]);
-        let (_, decoded) =
-            read_request(&mut base_bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        let (_, decoded) = parse_request(&base_bytes).unwrap().unwrap();
         assert_eq!(decoded, base);
 
         // Same rule on the response side: a zero retry-after hint encodes
-        // to nothing, keeping error frames identical to the old layout.
-        let mut no_hint = Vec::new();
-        write_response(
-            &mut no_hint,
+        // to nothing.
+        let no_hint = response_bytes(
             2,
             &Response::Error {
                 code: ErrorCode::Rejected,
@@ -1061,11 +986,8 @@ mod tests {
                 message: "q".into(),
                 retry_after_ms: 0,
             },
-        )
-        .unwrap();
-        let mut hinted = Vec::new();
-        write_response(
-            &mut hinted,
+        );
+        let hinted = response_bytes(
             2,
             &Response::Error {
                 code: ErrorCode::Rejected,
@@ -1073,16 +995,16 @@ mod tests {
                 message: "q".into(),
                 retry_after_ms: 40,
             },
-        )
-        .unwrap();
+        );
         assert!(hinted.len() > no_hint.len());
         assert_eq!(&hinted[4..no_hint.len()], &no_hint[4..]);
     }
 
     #[test]
     fn hello_credit_field_is_version_tolerant_and_version_byte_negotiates() {
-        // A credit-free Hello is byte-identical to the v1 wire format
-        // past the length prefix, so a v1 server parses it unchanged.
+        // The Hello's initial-credit field is purely appended: a
+        // credit-free Hello is a prefix of the credited one past the
+        // length prefix, and decodes to `None`.
         let bare = Request::Hello {
             database: "demo".into(),
             eval_budget: None,
@@ -1093,32 +1015,38 @@ mod tests {
             eval_budget: None,
             stream_credit: Some(16),
         };
-        let bare_bytes = request_to_bytes(1, &bare);
-        let credit_bytes = request_to_bytes(1, &with_credit);
+        let bare_bytes = to_bytes(1, &bare);
+        let credit_bytes = to_bytes(1, &with_credit);
         assert!(credit_bytes.len() > bare_bytes.len());
         assert_eq!(&credit_bytes[4..bare_bytes.len()], &bare_bytes[4..]);
+        assert_eq!(
+            parse_request(&bare_bytes).unwrap().unwrap(),
+            (1, bare.clone())
+        );
+        assert_eq!(
+            parse_request(&credit_bytes).unwrap().unwrap(),
+            (1, with_credit)
+        );
 
-        // The version wrappers stamp exactly the version byte and nothing
-        // else: a v2 frame differs from its v1 twin only at offset 4.
-        let v1 = request_to_bytes_v(PROTOCOL_V1, 1, &bare);
-        let v2 = request_to_bytes_v(PROTOCOL_V2, 1, &bare);
-        assert_eq!(v1[4], PROTOCOL_V1);
-        assert_eq!(v2[4], PROTOCOL_V2);
-        assert_eq!(&v1[..4], &v2[..4]);
-        assert_eq!(&v1[5..], &v2[5..]);
+        // The version wrapper stamps exactly the version byte and nothing
+        // else: a v1-stamped frame differs from its v2 twin only at offset 4.
+        let v1 = request_to_bytes_v(1, 1, &bare);
+        assert_eq!(bare_bytes[4], PROTOCOL_V2);
+        assert_eq!(v1[4], 1);
+        assert_eq!(&v1[..4], &bare_bytes[..4]);
+        assert_eq!(&v1[5..], &bare_bytes[5..]);
 
-        // A v1-capped reader rejects the v2 frame; a full reader reports
-        // the version it accepted.
+        // This build speaks v2 only: the v1 Hello is refused by version,
+        // by both the accumulator and the blocking reader.
         assert!(matches!(
-            read_request_versioned(&mut v2.as_slice(), 1 << 20, PROTOCOL_V1),
-            Err((None, FrameError::Version { got: PROTOCOL_V2 }))
+            parse_request(&v1),
+            Some(Err((None, FrameError::Version { got: 1 })))
         ));
-        let (_, version, _) =
-            read_request_versioned(&mut v2.as_slice(), 1 << 20, PROTOCOL_VERSION).unwrap();
-        assert_eq!(version, PROTOCOL_V2);
-        let (_, version, _) =
-            read_request_versioned(&mut v1.as_slice(), 1 << 20, PROTOCOL_VERSION).unwrap();
-        assert_eq!(version, PROTOCOL_V1);
+        assert!(matches!(
+            read_frame(&mut v1.as_slice(), DEFAULT_MAX_FRAME_BYTES),
+            Err(FrameError::Version { got: 1 })
+        ));
+        assert!(read_frame(&mut bare_bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).is_ok());
     }
 
     #[test]
@@ -1126,7 +1054,7 @@ mod tests {
         let mut bytes = Vec::new();
         // A forged length prefix of 1 GiB with no body behind it.
         bytes.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        match read_request(&mut bytes.as_slice(), 1024) {
+        match read_response(&mut bytes.as_slice(), 1024) {
             Err(FrameError::TooLarge { declared, limit }) => {
                 assert_eq!(declared, 1 << 30);
                 assert_eq!(limit, 1024);
@@ -1137,43 +1065,41 @@ mod tests {
 
     #[test]
     fn truncated_and_malformed_frames_fail_cleanly() {
-        let bytes = request_to_bytes(1, &Request::Report);
+        let bytes = response_bytes(1, &Response::HelloOk);
         // Truncation anywhere inside the frame is an error, not a hang or
         // a panic.
         for cut in 1..bytes.len() {
-            assert!(read_request(&mut bytes[..cut].as_ref(), 1 << 20).is_err());
+            assert!(read_response(&mut bytes[..cut].as_ref(), 1 << 20).is_err());
         }
         // A frame length shorter than the header is malformed.
         let mut short = Vec::new();
         short.extend_from_slice(&3u32.to_le_bytes());
-        short.extend_from_slice(&[PROTOCOL_VERSION, 0x06, 0]);
+        short.extend_from_slice(&[PROTOCOL_V2, 0x81, 0]);
         assert!(matches!(
-            read_request(&mut short.as_slice(), 1 << 20),
+            read_response(&mut short.as_slice(), 1 << 20),
             Err(FrameError::Malformed(_))
         ));
-        // A bogus version byte is a version error.
-        let mut wrong = request_to_bytes(1, &Request::Report);
-        wrong[4] = 42;
-        assert!(matches!(
-            read_request(&mut wrong.as_slice(), 1 << 20),
-            Err(FrameError::Version { got: 42 })
-        ));
+        // Any version byte but v2 is a version error, v1 included.
+        for bad in [0, 1, 3, 42] {
+            let mut wrong = response_bytes(1, &Response::HelloOk);
+            wrong[4] = bad;
+            assert!(matches!(
+                read_response(&mut wrong.as_slice(), 1 << 20),
+                Err(FrameError::Version { got }) if got == bad
+            ));
+        }
         // A clean EOF between frames is Closed, not an IO error.
         assert!(matches!(
-            read_request(&mut [].as_slice(), 1 << 20),
+            read_response(&mut [].as_slice(), 1 << 20),
             Err(FrameError::Closed)
         ));
     }
 
     #[test]
     fn accumulator_yields_frames_fed_byte_by_byte() {
-        let mut bytes = request_to_bytes(1, &Request::Report);
-        bytes.extend_from_slice(&request_to_bytes_v(
-            PROTOCOL_V2,
-            2,
-            &Request::StreamCredit { grant: 16 },
-        ));
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        let mut bytes = to_bytes(1, &Request::Report);
+        bytes.extend_from_slice(&to_bytes(2, &Request::StreamCredit { grant: 16 }));
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         let mut seen = Vec::new();
         for &b in &bytes {
             acc.feed(&[b]);
@@ -1184,8 +1110,8 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (1, PROTOCOL_V1, Request::Report),
-                (2, PROTOCOL_V2, Request::StreamCredit { grant: 16 }),
+                (1, Request::Report),
+                (2, Request::StreamCredit { grant: 16 }),
             ]
         );
         assert_eq!(acc.buffered(), 0);
@@ -1193,7 +1119,7 @@ mod tests {
 
     #[test]
     fn accumulator_rejects_oversized_prefix_before_buffering_payload() {
-        let mut acc = FrameAccumulator::new(256, PROTOCOL_V2);
+        let mut acc = FrameAccumulator::new(256);
         acc.feed(&(1u32 << 28).to_le_bytes());
         match acc.next_request() {
             Some(Err((None, FrameError::TooLarge { declared, limit }))) => {
@@ -1203,16 +1129,16 @@ mod tests {
             other => panic!("expected TooLarge, got {other:?}"),
         }
         // Poisoned: no resync, even if more bytes arrive.
-        acc.feed(&request_to_bytes(1, &Request::Report));
+        acc.feed(&to_bytes(1, &Request::Report));
         assert!(acc.is_poisoned());
         assert!(acc.next_request().is_none());
     }
 
     #[test]
     fn accumulator_checks_version_only_after_consuming_the_full_frame() {
-        let mut wrong = request_to_bytes(1, &Request::Report);
-        wrong[4] = 42;
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        let mut wrong = to_bytes(1, &Request::Report);
+        wrong[4] = 1;
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         // Everything but the final byte: no verdict yet — the error path
         // must consume the whole frame first (FIN, not RST).
         acc.feed(&wrong[..wrong.len() - 1]);
@@ -1220,7 +1146,7 @@ mod tests {
         acc.feed(&wrong[wrong.len() - 1..]);
         assert!(matches!(
             acc.next_request(),
-            Some(Err((None, FrameError::Version { got: 42 })))
+            Some(Err((None, FrameError::Version { got: 1 })))
         ));
         assert_eq!(acc.buffered(), 0, "bad frame fully consumed");
     }
@@ -1229,18 +1155,15 @@ mod tests {
     fn accumulator_reports_request_id_on_payload_decode_failures() {
         // A Coverage frame whose payload is garbage: the header parsed, so
         // the error echoes the request id.
-        let good = request_to_bytes(9, &Request::Report);
+        let good = to_bytes(9, &Request::Report);
         let mut bad = Vec::new();
-        let body = [PROTOCOL_V1, 0x02, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF];
+        let body = [PROTOCOL_V2, 0x02, 9, 0, 0, 0, 0, 0, 0, 0, 0xFF];
         bad.extend_from_slice(&(body.len() as u32).to_le_bytes());
         bad.extend_from_slice(&body);
-        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2);
+        let mut acc = FrameAccumulator::new(DEFAULT_MAX_FRAME_BYTES);
         acc.feed(&good);
         acc.feed(&bad);
-        assert!(matches!(
-            acc.next_request(),
-            Some(Ok((9, _, Request::Report)))
-        ));
+        assert!(matches!(acc.next_request(), Some(Ok((9, Request::Report)))));
         assert!(matches!(
             acc.next_request(),
             Some(Err((Some(9), FrameError::Malformed(_))))

@@ -9,6 +9,7 @@ use castor::logic::{Atom, Clause};
 use castor::relational::{DatabaseInstance, MutationBatch, RelationSymbol, Schema, Tuple};
 use castor::rpc::{
     ErrorCode, FrameError, Request, Response, RpcClient, RpcConfig, RpcError, RpcServer,
+    PROTOCOL_V2,
 };
 use castor::service::{LearnAlgorithm, LearnJob, Server, ServerConfig};
 use castor_learners::{LearnerParams, LearningTask};
@@ -238,7 +239,7 @@ fn unknown_database_and_bad_first_frame_fail_with_typed_errors() {
     // A request before Hello is a protocol error.
     let stream = TcpStream::connect(rpc.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
-    castor::rpc::frame::write_request(&mut writer, 5, &Request::Report).unwrap();
+    castor::rpc::frame::write_request_v(&mut writer, PROTOCOL_V2, 5, &Request::Report).unwrap();
     let (id, response) = castor::rpc::frame::read_response(
         &mut stream.try_clone().unwrap(),
         castor::rpc::DEFAULT_MAX_FRAME_BYTES,
@@ -261,10 +262,10 @@ fn unknown_database_and_bad_first_frame_fail_with_typed_errors() {
 fn malformed_truncated_and_oversized_frames_close_the_connection_cleanly() {
     let rpc = demo_rpc(ServerConfig::default());
 
-    // Wrong protocol version: typed error frame, then close.
-    let stream = TcpStream::connect(rpc.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut frame = castor::rpc::frame::request_to_bytes(
+    // Any version byte but v2 (the retired v1 included): typed error
+    // frame, then close.
+    let mut frame = castor::rpc::frame::request_to_bytes_v(
+        PROTOCOL_V2,
         1,
         &Request::Hello {
             database: "demo".into(),
@@ -272,27 +273,31 @@ fn malformed_truncated_and_oversized_frames_close_the_connection_cleanly() {
             stream_credit: None,
         },
     );
-    frame[4] = 99; // version byte
-    writer.write_all(&frame).unwrap();
-    let (_, response) = castor::rpc::frame::read_response(
-        &mut stream.try_clone().unwrap(),
-        castor::rpc::DEFAULT_MAX_FRAME_BYTES,
-    )
-    .unwrap();
-    assert!(matches!(
-        response,
-        Response::Error {
-            code: ErrorCode::UnsupportedVersion,
-            ..
-        }
-    ));
-    assert!(matches!(
-        castor::rpc::frame::read_response(
+    for version in [1, 99] {
+        let stream = TcpStream::connect(rpc.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        frame[4] = version;
+        writer.write_all(&frame).unwrap();
+        let (_, response) = castor::rpc::frame::read_response(
             &mut stream.try_clone().unwrap(),
             castor::rpc::DEFAULT_MAX_FRAME_BYTES,
-        ),
-        Err(FrameError::Closed)
-    ));
+        )
+        .unwrap();
+        assert!(matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::UnsupportedVersion,
+                ..
+            }
+        ));
+        assert!(matches!(
+            castor::rpc::frame::read_response(
+                &mut stream.try_clone().unwrap(),
+                castor::rpc::DEFAULT_MAX_FRAME_BYTES,
+            ),
+            Err(FrameError::Closed)
+        ));
+    }
 
     // A truncated frame (connection dropped mid-frame) must not wedge or
     // crash the server.
@@ -334,7 +339,7 @@ fn malformed_truncated_and_oversized_frames_close_the_connection_cleanly() {
     let mut writer = stream.try_clone().unwrap();
     let mut garbage = Vec::new();
     garbage.extend_from_slice(&14u32.to_le_bytes()); // header + 4 bytes
-    garbage.push(castor::rpc::PROTOCOL_VERSION);
+    garbage.push(PROTOCOL_V2);
     garbage.push(0x02); // Coverage kind
     garbage.extend_from_slice(&3u64.to_le_bytes());
     garbage.extend_from_slice(&[0xff, 0xff, 0xff, 0xff]); // bogus varint lengths

@@ -11,15 +11,13 @@
 //! The holder completes every Hello handshake in bounded batches (so the
 //! listener backlog never overflows), prints a ready marker, and parks
 //! until the parent closes its stdin.
-#![cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 
 use castor::logic::{Atom, Clause};
 use castor::relational::{DatabaseInstance, RelationSymbol, Schema, Tuple};
-use castor::rpc::frame::{read_response, request_to_bytes};
-use castor::rpc::{Request, Response, RpcClient, RpcConfig, RpcServer, DEFAULT_MAX_FRAME_BYTES};
+use castor::rpc::frame::{read_response, request_to_bytes_v};
+use castor::rpc::{
+    Request, Response, RpcClient, RpcConfig, RpcServer, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_V2,
+};
 use castor::service::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -74,7 +72,8 @@ fn idle_session_holder() {
         .expect("holder count parses");
     castor::rpc::sys::raise_nofile_limit();
 
-    let hello = request_to_bytes(
+    let hello = request_to_bytes_v(
+        PROTOCOL_V2,
         1,
         &Request::Hello {
             database: "demo".to_string(),
